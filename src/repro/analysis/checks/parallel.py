@@ -17,7 +17,8 @@ from repro.analysis.findings import Finding, Severity
 from repro.analysis.rules import Rule, register
 
 #: Call names that move their payload across a process boundary.
-PARALLEL_ENTRY_POINTS = {"parallel_map", "run_suite_parallel", "RunSpec"}
+PARALLEL_ENTRY_POINTS = {"parallel_map", "run_specs", "RunSpec",
+                         "SyntheticSpec"}
 
 #: Attribute calls on executors that do the same.
 EXECUTOR_METHODS = {"map", "submit"}

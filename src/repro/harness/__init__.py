@@ -18,10 +18,10 @@ from repro.harness.experiment import (
 from repro.harness.parallel import (
     RunSpec,
     SpecOutcome,
+    SyntheticSpec,
     execute_spec,
     parallel_map,
     run_specs,
-    run_suite_parallel,
     suite_specs,
 )
 from repro.harness.report import format_series, format_table
@@ -94,10 +94,10 @@ __all__ = [
     "table1",
     "RunSpec",
     "SpecOutcome",
+    "SyntheticSpec",
     "execute_spec",
     "parallel_map",
     "run_specs",
-    "run_suite_parallel",
     "suite_specs",
     "format_series",
     "format_table",

@@ -12,35 +12,23 @@ import sys
 import time
 
 from repro.harness import figures
-from repro.harness.figures import (
-    DEFAULT_MEASURE,
-    DEFAULT_TRACE_CYCLES,
-    DEFAULT_WARMUP,
-)
 
 TARGETS = ("table1", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
            "fig15", "fig16", "fig17", "area")
 
 
-def _windows(scale: float) -> dict:
-    return {
-        "trace_cycles": max(int(DEFAULT_TRACE_CYCLES * scale), 400),
-        "warmup": max(int(DEFAULT_WARMUP * scale), 200),
-        "measure": max(int(DEFAULT_MEASURE * scale), 200),
-    }
-
-
 def run_target(target: str, scale: float, workers=None,
                use_cache=None) -> str:
-    """Produce the formatted output of one figure/table."""
-    windows = _windows(scale)
+    """Produce the formatted output of one figure/table.  ``workers`` and
+    ``use_cache`` apply to every simulated target."""
+    engine = {"workers": workers, "use_cache": use_cache}
+    windows = {**figures.scaled_windows(scale), **engine}
     if target == "table1":
         return figures.format_table1(figures.table1())
     if target == "area":
         return figures.format_area_overhead(figures.area_overhead())
     if target in ("fig9", "fig10", "fig11", "fig15"):
-        suite = figures.run_benchmark_suite(workers=workers,
-                                            use_cache=use_cache, **windows)
+        suite = figures.run_benchmark_suite(**windows)
         driver = {"fig9": (figures.figure9, figures.format_figure9),
                   "fig10": (figures.figure10, figures.format_figure10),
                   "fig11": (figures.figure11, figures.format_figure11),
@@ -48,12 +36,9 @@ def run_target(target: str, scale: float, workers=None,
         build, render = driver[target]
         return render(build(suite))
     if target == "fig12":
-        rates = (0.05, 0.125, 0.175, 0.225, 0.30, 0.40, 0.50)
-        results = figures.figure12(
-            injection_rates=rates,
-            warmup=max(int(1200 * scale), 200),
-            measure=max(int(2500 * scale), 400))
-        return figures.format_figure12(results, rates)
+        results = figures.figure12(injection_rates=figures.FIG12_RATES,
+                                   **figures.fig12_windows(scale), **engine)
+        return figures.format_figure12(results, figures.FIG12_RATES)
     if target == "fig13":
         return figures.format_figure13(figures.figure13(**windows))
     if target == "fig14":
@@ -75,9 +60,8 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", type=float, default=1.0,
                         help="simulation-window scale factor (default 1.0)")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="run suite targets (fig9/10/11/15) through the "
-                             "parallel engine with N worker processes "
-                             "(default: serial in-process)")
+                        help="run simulated targets across N worker "
+                             "processes (default: serial in-process)")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the on-disk result cache "
                              "(.repro_cache/; also REPRO_NO_CACHE=1)")
@@ -89,13 +73,10 @@ def main(argv=None) -> int:
         if target not in TARGETS:
             parser.error(f"unknown target {target!r}; "
                          f"choose from {', '.join(TARGETS)} or 'all'")
-    workers = args.workers
     use_cache = False if args.no_cache else None
-    if workers is None and use_cache is False:
-        workers = 1  # --no-cache alone stays serial (no surprise pool)
     for target in targets:
         start = time.time()
-        print(run_target(target, args.scale, workers=workers,
+        print(run_target(target, args.scale, workers=args.workers,
                          use_cache=use_cache))
         print(f"[{target} regenerated in {time.time() - start:.1f}s]\n")
     return 0

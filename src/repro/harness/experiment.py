@@ -269,36 +269,14 @@ def run_trace(config: NocConfig, mechanism: str, trace: TraceLike,
     overrides ``config.core`` the same way (the cross-core identity suite
     runs one config through every backend).
     """
-    start = time.perf_counter()
-    hits0, misses0 = encode_cache_totals()
-    if sanitize is not None and sanitize != config.sanitize:
-        config = replace(config, sanitize=sanitize)
-    if event_horizon is not None and event_horizon != config.event_horizon:
-        config = replace(config, event_horizon=event_horizon)
-    if core is not None and core != config.core:
-        config = replace(config, core=core)
-    scheme = make_scheme(mechanism, config.n_nodes, error_threshold_pct)
-    network = Network(config, scheme)
-    network.set_traffic(trace_source(trace, loop=True,
+    return _measured_run(
+        config, mechanism,
+        lambda _config: trace_source(trace, loop=True,
                                      approx_override=approx_override,
                                      trace_start=trace_start,
-                                     trace_stop=trace_stop))
-    network.run(warmup)
-    network.stats.reset()
-    scheme.stats.reset()
-    scheme.quality.reset()
-    network.run(measure)
-    measured_cycles = network.stats.cycles
-    if not network.drain(drain_budget):
-        raise RuntimeError(
-            f"{mechanism} failed to drain within {drain_budget} cycles")
-    network.stats.cycles = measured_cycles  # drain isn't measurement time
-    hits1, misses1 = encode_cache_totals()
-    network.stats.encode_cache_hits = hits1 - hits0
-    network.stats.encode_cache_misses = misses1 - misses0
-    result = RunResult.from_network(network)
-    result.wall_time_s = time.perf_counter() - start
-    return result
+                                     trace_stop=trace_stop),
+        warmup, measure, error_threshold_pct, drain_budget,
+        dict(sanitize=sanitize, event_horizon=event_horizon, core=core))
 
 
 def run_synthetic(config: NocConfig, mechanism: str, traffic_factory,
@@ -317,14 +295,23 @@ def run_synthetic(config: NocConfig, mechanism: str, traffic_factory,
     ``event_horizon`` and ``core`` override their config fields as in
     :func:`run_trace`.
     """
+    return _measured_run(
+        config, mechanism, traffic_factory, warmup, measure,
+        error_threshold_pct, None,
+        dict(sanitize=sanitize, event_horizon=event_horizon, core=core))
+
+
+def _measured_run(config: NocConfig, mechanism: str, traffic_factory,
+                  warmup: int, measure: int, error_threshold_pct: float,
+                  drain_budget: Optional[int], overrides: dict) -> RunResult:
+    """Apply the non-None config ``overrides``, warm up, measure, then
+    drain within ``drain_budget`` cycles (None: no drain, may saturate)."""
     start = time.perf_counter()
     hits0, misses0 = encode_cache_totals()
-    if sanitize is not None and sanitize != config.sanitize:
-        config = replace(config, sanitize=sanitize)
-    if event_horizon is not None and event_horizon != config.event_horizon:
-        config = replace(config, event_horizon=event_horizon)
-    if core is not None and core != config.core:
-        config = replace(config, core=core)
+    overrides = {name: value for name, value in overrides.items()
+                 if value not in (None, getattr(config, name))}
+    if overrides:
+        config = replace(config, **overrides)
     scheme = make_scheme(mechanism, config.n_nodes, error_threshold_pct)
     network = Network(config, scheme)
     network.set_traffic(traffic_factory(config))
@@ -333,6 +320,12 @@ def run_synthetic(config: NocConfig, mechanism: str, traffic_factory,
     scheme.stats.reset()
     scheme.quality.reset()
     network.run(measure)
+    if drain_budget is not None:
+        measured_cycles = network.stats.cycles
+        if not network.drain(drain_budget):
+            raise RuntimeError(
+                f"{mechanism} failed to drain within {drain_budget} cycles")
+        network.stats.cycles = measured_cycles  # drain isn't measurement
     hits1, misses1 = encode_cache_totals()
     network.stats.encode_cache_hits = hits1 - hits0
     network.stats.encode_cache_misses = misses1 - misses0

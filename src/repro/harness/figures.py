@@ -4,36 +4,59 @@ Every function returns the figure's data in a structured form plus a
 ``format_*`` companion producing the paper-style rows.  Cycle counts are
 parameters so tests can run tiny instances while the benchmark harness runs
 publication-size ones; results are unaffected in *shape*, only in noise.
+
+Simulated figures run their specs through the result cache and the engine
+of :mod:`repro.harness.parallel`, so a run two figures share executes once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apps import run_app
 from repro.apps.channel import ApproxChannel, IdentityChannel
 from repro.apps import bodytrack as bodytrack_app
-from repro.harness.experiment import (
-    MECHANISM_ORDER,
-    RunResult,
-    benchmark_trace,
-    make_scheme,
-    run_synthetic,
-    run_trace,
+from repro.harness.experiment import MECHANISM_ORDER, RunResult, make_scheme
+from repro.harness.parallel import (
+    RunSpec,
+    Spec,
+    SyntheticSpec,
+    parallel_map,
+    suite_specs,
 )
 from repro.harness.report import format_series, format_table
 from repro.noc import NocConfig, PAPER_CONFIG
 from repro.power.area import encoder_area
 from repro.power.energy import normalized_power
-from repro.traffic import SyntheticTraffic, get_benchmark
 from repro.traffic.profiles import BENCHMARK_ORDER
 
 #: Default simulation windows (cycles).  Benches scale these up.
 DEFAULT_TRACE_CYCLES = 6000
 DEFAULT_WARMUP = 3000
 DEFAULT_MEASURE = 3000
+
+#: Figure 12's offered loads (flits/cycle/node) in the CLI and EXPERIMENTS.md.
+FIG12_RATES = (0.05, 0.125, 0.175, 0.225, 0.30, 0.40, 0.50)
+
+
+def scaled_windows(scale: float) -> dict:
+    """Trace/warmup/measure windows at ``scale`` x the defaults, floored
+    so that tiny scales still measure something."""
+    return {
+        "trace_cycles": max(int(DEFAULT_TRACE_CYCLES * scale), 400),
+        "warmup": max(int(DEFAULT_WARMUP * scale), 200),
+        "measure": max(int(DEFAULT_MEASURE * scale), 200),
+    }
+
+
+def fig12_windows(scale: float) -> dict:
+    """Figure 12's warmup/measure windows at ``scale``."""
+    return {"warmup": max(int(1200 * scale), 200),
+            "measure": max(int(2500 * scale), 400)}
+
 
 #: Memory-boundedness of each benchmark (fraction of runtime sensitive to
 #: NoC latency) for the Figure 16 performance model: runtime =
@@ -80,30 +103,18 @@ def run_benchmark_suite(config: NocConfig = PAPER_CONFIG,
                         seed: int = 11,
                         workers: Optional[int] = None,
                         use_cache: Optional[bool] = None) -> SuiteResult:
-    """Run every (benchmark, mechanism) pair on identical traces.
-
-    ``workers`` switches to the parallel, disk-cached engine
-    (:mod:`repro.harness.parallel`); results are bit-identical either way.
-    ``workers=None`` keeps the plain in-process loop below.
-    """
-    if workers is not None or use_cache is not None:
-        from repro.harness.parallel import run_suite_parallel
-        return run_suite_parallel(
-            config=config, benchmarks=benchmarks, mechanisms=mechanisms,
-            error_threshold_pct=error_threshold_pct,
-            approx_packet_ratio=approx_packet_ratio,
-            trace_cycles=trace_cycles, warmup=warmup, measure=measure,
-            seed=seed, workers=workers, use_cache=use_cache)
+    """Run every (benchmark, mechanism) pair on identical traces."""
+    specs = suite_specs(config=config, benchmarks=benchmarks,
+                        mechanisms=mechanisms,
+                        error_threshold_pct=error_threshold_pct,
+                        approx_packet_ratio=approx_packet_ratio,
+                        trace_cycles=trace_cycles, warmup=warmup,
+                        measure=measure, seed=seed)
+    runs = iter(_run(specs, workers, use_cache))
     suite = SuiteResult(config=config,
                         error_threshold_pct=error_threshold_pct)
     for benchmark in benchmarks:
-        trace = benchmark_trace(config, benchmark, trace_cycles, seed=seed,
-                                approx_packet_ratio=approx_packet_ratio)
-        suite.runs[benchmark] = {}
-        for mechanism in mechanisms:
-            suite.runs[benchmark][mechanism] = run_trace(
-                config, mechanism, trace, warmup, measure,
-                error_threshold_pct=error_threshold_pct)
+        suite.runs[benchmark] = {m: next(runs) for m in mechanisms}
     return suite
 
 
@@ -232,7 +243,9 @@ def figure12(config: NocConfig = PAPER_CONFIG,
              data_ratio: float = 0.25,
              error_threshold_pct: float = 10.0,
              warmup: int = 1500, measure: int = 3000,
-             seed: int = 13) -> Dict[Tuple[str, str], Dict[str, List[float]]]:
+             seed: int = 13, workers: Optional[int] = None,
+             use_cache: Optional[bool] = None
+             ) -> Dict[Tuple[str, str], Dict[str, List[float]]]:
     """Latency-vs-injection curves: benchmark data under UR/TR patterns.
 
     §5.2.2: "we assume a 25:75 data to control packet ratio to emphasize
@@ -240,25 +253,18 @@ def figure12(config: NocConfig = PAPER_CONFIG,
     communicated" — note the paper's ratio is data-heavy by *flits*.
     Returns ``{(benchmark, pattern): {mechanism: [latency per rate]}}``.
     """
-    results: Dict[Tuple[str, str], Dict[str, List[float]]] = {}
-    for benchmark in benchmarks:
-        model = get_benchmark(benchmark).model
-        for pattern in patterns:
-            series: Dict[str, List[float]] = {m: [] for m in mechanisms}
-            for rate in injection_rates:
-                for mechanism in mechanisms:
-                    def factory(cfg, rate=rate, pattern=pattern,
-                                model=model):
-                        return SyntheticTraffic(
-                            cfg, pattern=pattern, injection_rate=rate,
-                            data_ratio=data_ratio, value_model=model,
-                            seed=seed)
-                    run = run_synthetic(config, mechanism, factory, warmup,
-                                        measure,
-                                        error_threshold_pct=error_threshold_pct)
-                    series[mechanism].append(run.avg_packet_latency)
-            results[(benchmark, pattern)] = series
-    return results
+    def spec(benchmark, pattern, rate, mechanism):
+        return SyntheticSpec(
+            config=config, mechanism=mechanism, benchmark=benchmark,
+            pattern=pattern, rate=rate, data_ratio=data_ratio, seed=seed,
+            warmup=warmup, measure=measure,
+            error_threshold_pct=error_threshold_pct)
+    latency = _latencies([spec(b, p, r, m) for b in benchmarks
+                          for p in patterns for r in injection_rates
+                          for m in mechanisms], workers, use_cache)
+    return {(b, p): {m: [latency[spec(b, p, r, m)] for r in injection_rates]
+                     for m in mechanisms}
+            for b in benchmarks for p in patterns}
 
 
 def format_figure12(results, injection_rates) -> str:
@@ -294,29 +300,44 @@ def saturation_throughput(series: Dict[str, List[float]],
 # Figure 13/14: sensitivity to error threshold and approximable ratio
 # --------------------------------------------------------------------------
 
+#: The (row label, compression, approximation) triples of Figs 13 and 14.
+FAMILIES = (("DI-based", "DI-COMP", "DI-VAXX"),
+            ("FP-based", "FP-COMP", "FP-VAXX"))
+
+
+def _family_sweep(columns: Dict[str, dict], config: NocConfig,
+                  benchmarks: Sequence[str], trace_cycles: int, warmup: int,
+                  measure: int, seed: int, workers: Optional[int],
+                  use_cache: Optional[bool], **common) -> List[dict]:
+    """One DI- and one FP-based row per benchmark: the compression latency,
+    then the approximation's latency under each column's RunSpec
+    overrides (``common`` applies to every run)."""
+    spec = partial(RunSpec, config=config, trace_cycles=trace_cycles,
+                   warmup=warmup, measure=measure, seed=seed, **common)
+    rows = [{"benchmark": b, "family": family,
+             "compression": spec(benchmark=b, mechanism=comp),
+             **{name: spec(benchmark=b, mechanism=vaxx, **overrides)
+                for name, overrides in columns.items()}}
+            for b in benchmarks for family, comp, vaxx in FAMILIES]
+    latency = _latencies([value for row in rows for value in row.values()
+                          if isinstance(value, RunSpec)], workers, use_cache)
+    return [{key: latency[value] if isinstance(value, RunSpec) else value
+             for key, value in row.items()} for row in rows]
+
+
 def figure13(config: NocConfig = PAPER_CONFIG,
              benchmarks: Sequence[str] = BENCHMARK_ORDER,
              thresholds: Sequence[float] = (5.0, 10.0, 20.0),
              approx_packet_ratio: float = 0.75,
              trace_cycles: int = DEFAULT_TRACE_CYCLES,
              warmup: int = DEFAULT_WARMUP, measure: int = DEFAULT_MEASURE,
-             seed: int = 11) -> List[dict]:
+             seed: int = 11, workers: Optional[int] = None,
+             use_cache: Optional[bool] = None) -> List[dict]:
     """Error-threshold sensitivity: DI-based and FP-based latency."""
-    rows = []
-    for benchmark in benchmarks:
-        trace = benchmark_trace(config, benchmark, trace_cycles, seed=seed,
-                                approx_packet_ratio=approx_packet_ratio)
-        for family, comp, vaxx in (("DI-based", "DI-COMP", "DI-VAXX"),
-                                   ("FP-based", "FP-COMP", "FP-VAXX")):
-            row = {"benchmark": benchmark, "family": family}
-            row["compression"] = run_trace(
-                config, comp, trace, warmup, measure).avg_packet_latency
-            for threshold in thresholds:
-                row[f"{threshold:g}%"] = run_trace(
-                    config, vaxx, trace, warmup, measure,
-                    error_threshold_pct=threshold).avg_packet_latency
-            rows.append(row)
-    return rows
+    return _family_sweep(
+        {f"{t:g}%": {"error_threshold_pct": t} for t in thresholds},
+        config, benchmarks, trace_cycles, warmup, measure, seed, workers,
+        use_cache, approx_packet_ratio=approx_packet_ratio)
 
 
 def format_figure13(rows: List[dict],
@@ -337,24 +358,14 @@ def figure14(config: NocConfig = PAPER_CONFIG,
              error_threshold_pct: float = 10.0,
              trace_cycles: int = DEFAULT_TRACE_CYCLES,
              warmup: int = DEFAULT_WARMUP, measure: int = DEFAULT_MEASURE,
-             seed: int = 11) -> List[dict]:
+             seed: int = 11, workers: Optional[int] = None,
+             use_cache: Optional[bool] = None) -> List[dict]:
     """Approximable-packet-ratio sensitivity (trace re-marked per ratio)."""
-    rows = []
-    for benchmark in benchmarks:
-        trace = benchmark_trace(config, benchmark, trace_cycles, seed=seed,
-                                approx_packet_ratio=0.75)
-        for family, comp, vaxx in (("DI-based", "DI-COMP", "DI-VAXX"),
-                                   ("FP-based", "FP-COMP", "FP-VAXX")):
-            row = {"benchmark": benchmark, "family": family}
-            row["compression"] = run_trace(
-                config, comp, trace, warmup, measure).avg_packet_latency
-            for ratio in approx_ratios:
-                row[f"{int(ratio * 100)}%"] = run_trace(
-                    config, vaxx, trace, warmup, measure,
-                    error_threshold_pct=error_threshold_pct,
-                    approx_override=ratio).avg_packet_latency
-            rows.append(row)
-    return rows
+    return _family_sweep(
+        {f"{int(r * 100)}%": {"error_threshold_pct": error_threshold_pct,
+                              "approx_override": r} for r in approx_ratios},
+        config, benchmarks, trace_cycles, warmup, measure, seed, workers,
+        use_cache)
 
 
 def format_figure14(rows: List[dict],
@@ -406,7 +417,8 @@ def figure16(config: NocConfig = PAPER_CONFIG,
              budgets: Sequence[float] = (0.0, 10.0, 20.0),
              trace_cycles: int = DEFAULT_TRACE_CYCLES,
              warmup: int = DEFAULT_WARMUP, measure: int = DEFAULT_MEASURE,
-             seed: int = 11) -> List[dict]:
+             seed: int = 11, workers: Optional[int] = None,
+             use_cache: Optional[bool] = None) -> List[dict]:
     """Output error and normalized performance per data error budget.
 
     Output error is the worse of the FP-VAXX and DI-VAXX channels
@@ -415,14 +427,15 @@ def figure16(config: NocConfig = PAPER_CONFIG,
     each threshold scales the memory-bound fraction of runtime, normalized
     to the 0%-threshold (exact compression) latency.
     """
+    # The NoC latency per budget is Figure 13's threshold sweep: one DI-
+    # and one FP-based row per benchmark, compression plus each budget.
+    sweep = figure13(config, benchmarks, [b for b in budgets if b > 0],
+                     trace_cycles=trace_cycles, warmup=warmup,
+                     measure=measure, seed=seed, workers=workers,
+                     use_cache=use_cache)
     rows = []
-    for benchmark in benchmarks:
-        trace = benchmark_trace(config, benchmark, trace_cycles, seed=seed)
-        base_latency = _mean([
-            run_trace(config, "FP-COMP", trace, warmup,
-                      measure).avg_packet_latency,
-            run_trace(config, "DI-COMP", trace, warmup,
-                      measure).avg_packet_latency])
+    for benchmark, di, fp in zip(benchmarks, sweep[::2], sweep[1::2]):
+        base_latency = _mean([fp["compression"], di["compression"]])
         boundedness = MEMORY_BOUNDEDNESS.get(benchmark, 0.4)
         for budget in budgets:
             if budget <= 0:
@@ -434,13 +447,7 @@ def figure16(config: NocConfig = PAPER_CONFIG,
                         "FP-VAXX", config.n_nodes, budget)),
                     run_app(benchmark, make_scheme(
                         "DI-VAXX", config.n_nodes, budget)))
-                latency = _mean([
-                    run_trace(config, "FP-VAXX", trace, warmup, measure,
-                              error_threshold_pct=budget
-                              ).avg_packet_latency,
-                    run_trace(config, "DI-VAXX", trace, warmup, measure,
-                              error_threshold_pct=budget
-                              ).avg_packet_latency])
+                latency = _mean([fp[f"{budget:g}%"], di[f"{budget:g}%"]])
                 runtime = (1.0 - boundedness) + boundedness * (
                     latency / base_latency)
                 performance = 1.0 / runtime
@@ -554,6 +561,20 @@ def format_area_overhead(rows: List[dict]) -> str:
 # --------------------------------------------------------------------------
 # Small helpers
 # --------------------------------------------------------------------------
+
+def _run(specs: Sequence[Spec], workers: Optional[int],
+         use_cache: Optional[bool]) -> List[RunResult]:
+    """One engine call per figure; ``workers=None`` stays in-process."""
+    return parallel_map(specs, workers=1 if workers is None else workers,
+                        use_cache=use_cache)
+
+
+def _latencies(specs: Sequence[Spec], workers: Optional[int],
+               use_cache: Optional[bool]) -> Dict[Spec, float]:
+    """Average packet latency of each spec, keyed by spec."""
+    return {spec: run.avg_packet_latency
+            for spec, run in zip(specs, _run(specs, workers, use_cache))}
+
 
 def _mean(values) -> float:
     values = list(values)

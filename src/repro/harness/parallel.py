@@ -2,10 +2,11 @@
 
 Every paper figure is an aggregation over dozens of *independent*
 (benchmark, mechanism, seed) simulations.  This module turns those runs
-into explicit, picklable :class:`RunSpec` work items and executes them
+into explicit, picklable :class:`RunSpec` (trace) and
+:class:`SyntheticSpec` (Figure 12) work items and executes them
 
 * in parallel across worker processes (:func:`run_specs`,
-  :func:`parallel_map`, :func:`run_suite_parallel`), and
+  :func:`parallel_map`), and
 * behind a content-addressed on-disk cache keyed by the full spec
   (``.repro_cache/`` by default), so re-running a sweep touches only the
   points that changed.
@@ -63,11 +64,14 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.harness.experiment import RunResult, benchmark_trace, run_trace
+from repro.harness.experiment import (RunResult, benchmark_trace,
+                                      run_synthetic, run_trace)
 from repro.noc import NocConfig, PAPER_CONFIG
+from repro.traffic import SyntheticTraffic, get_benchmark
 
 #: Bump when simulator changes alter results for an unchanged RunSpec, so
 #: stale cache entries from older code can never be returned.
@@ -125,8 +129,22 @@ def trace_file_digest(path: str) -> str:
     return digest
 
 
+class _ContentAddressed:
+    """Cache identity shared by the spec types."""
+
+    def canonical(self) -> dict:
+        """Everything that determines the run's outcome, JSON-safe."""
+        raise NotImplementedError
+
+    def cache_key(self) -> str:
+        """Content hash addressing this spec's result on disk."""
+        blob = json.dumps(self.canonical(), sort_keys=True,
+                          separators=(",", ":"))
+        return hashlib.sha256(blob.encode()).hexdigest()
+
+
 @dataclass(frozen=True)
-class RunSpec:
+class RunSpec(_ContentAddressed):
     """One self-contained (trace, mechanism) simulation, picklable and
     hashable — the unit of parallel scheduling and of cache addressing.
 
@@ -168,18 +186,48 @@ class RunSpec:
             payload["trace_digest"] = trace_file_digest(self.trace_path)
         return payload
 
-    def cache_key(self) -> str:
-        """Content hash addressing this spec's result on disk."""
-        blob = json.dumps(self.canonical(), sort_keys=True,
-                          separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+
+@dataclass(frozen=True)
+class SyntheticSpec(_ContentAddressed):
+    """One live synthetic-traffic run (Figure 12): ``pattern`` at ``rate``
+    flits/cycle/node carrying ``benchmark``'s data values, undrained (see
+    :func:`~repro.harness.experiment.run_synthetic`)."""
+
+    config: NocConfig
+    mechanism: str
+    benchmark: str
+    pattern: str
+    rate: float
+    data_ratio: float
+    seed: int
+    warmup: int
+    measure: int
+    error_threshold_pct: float = 10.0
+
+    def canonical(self) -> dict:
+        """Like :meth:`RunSpec.canonical`, tagged ``synthetic``."""
+        return {**asdict(self), "kind": "synthetic",
+                "cache_schema": CACHE_SCHEMA_VERSION}
 
 
-def execute_spec(spec: RunSpec) -> RunResult:
+#: Anything :func:`run_specs` schedules.
+Spec = RunSpec | SyntheticSpec
+
+
+def execute_spec(spec: Spec) -> RunResult:
     """Run one spec from scratch (no cache).  Safe to call in any process:
     the benchmark trace is regenerated deterministically from the spec
     (memoized per process by :func:`benchmark_trace`), or — for a
-    file-backed spec — streamed straight from ``trace_path``."""
+    file-backed spec — streamed straight from ``trace_path``; a
+    :class:`SyntheticSpec` seeds a fresh traffic generator."""
+    if isinstance(spec, SyntheticSpec):
+        traffic = partial(SyntheticTraffic, pattern=spec.pattern,
+                          injection_rate=spec.rate, seed=spec.seed,
+                          data_ratio=spec.data_ratio,
+                          value_model=get_benchmark(spec.benchmark).model)
+        return run_synthetic(spec.config, spec.mechanism, traffic,
+                             spec.warmup, spec.measure,
+                             error_threshold_pct=spec.error_threshold_pct)
     if spec.trace_path is not None:
         return run_trace(spec.config, spec.mechanism, spec.trace_path,
                          spec.warmup, spec.measure,
@@ -202,7 +250,7 @@ def execute_spec(spec: RunSpec) -> RunResult:
 class SpecOutcome:
     """What happened to one spec in a :func:`run_specs` sweep."""
 
-    spec: RunSpec
+    spec: Spec
     result: Optional[RunResult] = None
     #: Failure description (a traceback tail, "timed out", "worker
     #: process died", ...); None on success.
@@ -250,7 +298,7 @@ def _evict_corrupt(path: Path, reason: str) -> None:
         pass  # already gone, or read-only cache: the miss still stands
 
 
-def load_cached(spec: RunSpec) -> Optional[RunResult]:
+def load_cached(spec: Spec) -> Optional[RunResult]:
     """The cached result of ``spec``, or None on a miss.
 
     A present-but-unusable entry (truncated write, bit rot, a foreign
@@ -277,7 +325,7 @@ def load_cached(spec: RunSpec) -> Optional[RunResult]:
         return None
 
 
-def store_cached(spec: RunSpec, result: RunResult) -> None:
+def store_cached(spec: Spec, result: RunResult) -> None:
     """Persist one result, safely under concurrent multi-process writers.
 
     Publication is a private temp file (``mkstemp`` names are unique per
@@ -346,25 +394,28 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 
 #: One unit of pool scheduling: the (spec-list-index, spec) items it
 #: carries and the execution attempts already consumed.
-_Batch = Tuple[List[Tuple[int, RunSpec]], int]
+_Batch = Tuple[List[Tuple[int, Spec]], int]
 
 
-def _trace_key(spec: RunSpec) -> tuple:
+def _trace_key(spec: Spec) -> tuple:
     """Specs sharing this key replay the same recorded trace, so keeping
     them on one worker reuses its per-process trace memo (file-backed
-    specs group by path + window: they share the OS page cache)."""
+    specs group by path + window: they share the OS page cache;
+    synthetic specs replay nothing and batch freely)."""
+    if isinstance(spec, SyntheticSpec):
+        return ("synthetic",)
     return (spec.config, spec.benchmark, spec.trace_cycles, spec.seed,
             spec.approx_packet_ratio, spec.trace_path, spec.trace_start,
             spec.trace_stop)
 
 
-def _make_batches(items: List[Tuple[int, RunSpec]],
+def _make_batches(items: List[Tuple[int, Spec]],
                   n_workers: int) -> List[_Batch]:
     """Group contiguous same-trace specs into batches (one trace recording
     per batch), splitting oversized groups so the pool stays busy."""
     limit = max(1, -(-len(items) // (n_workers * 2)))
     batches: List[_Batch] = []
-    group: List[Tuple[int, RunSpec]] = []
+    group: List[Tuple[int, Spec]] = []
     group_key = None
     for item in items:
         key = _trace_key(item[1])
@@ -378,7 +429,7 @@ def _make_batches(items: List[Tuple[int, RunSpec]],
     return batches
 
 
-def _execute_batch(specs: List[RunSpec]
+def _execute_batch(specs: List[Spec]
                    ) -> List[Tuple[Optional[RunResult], Optional[str]]]:
     """Worker-side entry point: run a batch, converting per-spec failures
     into data so one bad run cannot take its batch mates down."""
@@ -392,7 +443,7 @@ def _execute_batch(specs: List[RunSpec]
     return payload
 
 
-def _finish(outcomes: List[Optional[SpecOutcome]], specs: Sequence[RunSpec],
+def _finish(outcomes: List[Optional[SpecOutcome]], specs: Sequence[Spec],
             index: int, result: Optional[RunResult], error: Optional[str],
             attempts: int, use_cache: bool) -> None:
     """Record one spec's final outcome (flushing successes to the cache
@@ -405,8 +456,7 @@ def _finish(outcomes: List[Optional[SpecOutcome]], specs: Sequence[RunSpec],
 
 def _requeue_or_fail(queue: Deque[_Batch],
                      outcomes: List[Optional[SpecOutcome]],
-                     specs: Sequence[RunSpec], items: List[Tuple[int,
-                                                                 RunSpec]],
+                     specs: Sequence[Spec], items: List[Tuple[int, Spec]],
                      attempts: int, retries: int, use_cache: bool,
                      reason: str) -> None:
     """A batch died wholesale (crash/timeout): retry its specs as
@@ -483,7 +533,7 @@ def _graceful_signals() -> Iterator[None]:
         signal.signal(signal.SIGTERM, previous)
 
 
-def _run_serial(specs: Sequence[RunSpec], misses: List[int],
+def _run_serial(specs: Sequence[Spec], misses: List[int],
                 outcomes: List[Optional[SpecOutcome]],
                 use_cache: bool) -> None:
     """In-process execution (workers<=1): no pool, no timeout enforcement;
@@ -499,7 +549,7 @@ def _run_serial(specs: Sequence[RunSpec], misses: List[int],
             _finish(outcomes, specs, index, result, None, 1, use_cache)
 
 
-def _run_pool(specs: Sequence[RunSpec], misses: List[int],
+def _run_pool(specs: Sequence[Spec], misses: List[int],
               outcomes: List[Optional[SpecOutcome]], use_cache: bool,
               n_workers: int, timeout_s: Optional[float], retries: int,
               retry_backoff_s: float) -> None:
@@ -582,7 +632,7 @@ def _run_pool(specs: Sequence[RunSpec], misses: List[int],
             executor.shutdown()
 
 
-def run_specs(specs: Sequence[RunSpec],
+def run_specs(specs: Sequence[Spec],
               workers: Optional[int] = None,
               use_cache: Optional[bool] = None,
               timeout_s: Optional[float] = None,
@@ -625,7 +675,7 @@ def run_specs(specs: Sequence[RunSpec],
     return outcomes  # type: ignore[return-value]
 
 
-def execute_cached(spec: RunSpec,
+def execute_cached(spec: Spec,
                    use_cache: Optional[bool] = None,
                    fresh: bool = False) -> SpecOutcome:
     """Cache-first execution of a *single* spec, in this process — the
@@ -656,7 +706,7 @@ def _failure_summary(outcome: SpecOutcome) -> str:
     return (f"{spec.benchmark}/{spec.mechanism}[seed {spec.seed}]: {tail}")
 
 
-def parallel_map(specs: Sequence[RunSpec],
+def parallel_map(specs: Sequence[Spec],
                  workers: Optional[int] = None,
                  use_cache: Optional[bool] = None,
                  timeout_s: Optional[float] = None,
@@ -691,39 +741,3 @@ def suite_specs(config: NocConfig = PAPER_CONFIG,
                     error_threshold_pct=error_threshold_pct)
             for benchmark in benchmarks
             for mechanism in mechanisms]
-
-
-def run_suite_parallel(config: NocConfig = PAPER_CONFIG,
-                       benchmarks: Optional[Sequence[str]] = None,
-                       mechanisms: Optional[Sequence[str]] = None,
-                       error_threshold_pct: float = 10.0,
-                       approx_packet_ratio: float = 0.75,
-                       trace_cycles: int = 6000, warmup: int = 3000,
-                       measure: int = 3000, seed: int = 11,
-                       workers: Optional[int] = None,
-                       use_cache: Optional[bool] = None):
-    """Parallel, cached equivalent of ``figures.run_benchmark_suite``.
-
-    Returns the same :class:`~repro.harness.figures.SuiteResult`, with
-    runs bit-identical to the serial path.
-    """
-    from repro.harness.figures import SuiteResult
-    from repro.harness.experiment import MECHANISM_ORDER
-    from repro.traffic.profiles import BENCHMARK_ORDER
-    if benchmarks is None:
-        benchmarks = BENCHMARK_ORDER
-    if mechanisms is None:
-        mechanisms = MECHANISM_ORDER
-    specs = suite_specs(config=config, benchmarks=benchmarks,
-                        mechanisms=mechanisms,
-                        error_threshold_pct=error_threshold_pct,
-                        approx_packet_ratio=approx_packet_ratio,
-                        trace_cycles=trace_cycles, warmup=warmup,
-                        measure=measure, seed=seed)
-    results = parallel_map(specs, workers=workers, use_cache=use_cache)
-    suite = SuiteResult(config=config,
-                        error_threshold_pct=error_threshold_pct)
-    it = iter(results)
-    for benchmark in benchmarks:
-        suite.runs[benchmark] = {m: next(it) for m in mechanisms}
-    return suite

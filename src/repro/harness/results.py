@@ -19,6 +19,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.harness import figures
 from repro.harness.figures import (
+    FIG12_RATES,
+    fig12_windows,
     figure9,
     figure10,
     figure11,
@@ -30,7 +32,9 @@ from repro.harness.figures import (
     figure17,
     run_benchmark_suite,
     saturation_throughput,
+    scaled_windows,
 )
+from repro.harness.report import format_series, format_table
 from repro.power.area import di_vaxx_encoder_area, fp_vaxx_encoder_area
 
 
@@ -39,17 +43,10 @@ def _geomean(values) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def _windows(scale: float) -> dict:
-    return {
-        "trace_cycles": max(int(figures.DEFAULT_TRACE_CYCLES * scale), 400),
-        "warmup": max(int(figures.DEFAULT_WARMUP * scale), 200),
-        "measure": max(int(figures.DEFAULT_MEASURE * scale), 200),
-    }
-
-
 def collect_all(scale: float = 1.0,
                 progress=None) -> Dict[str, object]:
-    """Run every experiment; returns the structured result bundle."""
+    """Run every experiment; returns the structured result bundle.  A run
+    two figures share executes once (``REPRO_NO_CACHE=1``: every time)."""
     def note(message: str) -> None:
         if progress:
             progress(message)
@@ -57,27 +54,25 @@ def collect_all(scale: float = 1.0,
     results: Dict[str, object] = {"scale": scale}
 
     note("benchmark suite (figures 9/10/11/15)…")
-    suite = run_benchmark_suite(**_windows(scale))
+    windows = scaled_windows(scale)
+    suite = run_benchmark_suite(**windows)
     results["fig9"] = figure9(suite)
     results["fig10"] = figure10(suite)
     results["fig11"] = figure11(suite)
     results["fig15"] = figure15(suite)
 
     note("figure 12 (throughput sweeps)…")
-    rates = (0.05, 0.125, 0.175, 0.225, 0.30, 0.40, 0.50)
-    sweep = figure12(injection_rates=rates,
-                     warmup=max(int(1200 * scale), 200),
-                     measure=max(int(2500 * scale), 400))
-    results["fig12_rates"] = list(rates)
+    sweep = figure12(injection_rates=FIG12_RATES, **fig12_windows(scale))
+    results["fig12_rates"] = list(FIG12_RATES)
     results["fig12"] = {f"{b}/{p}": series
                         for (b, p), series in sweep.items()}
 
     note("figure 13 (error-threshold sensitivity)…")
-    results["fig13"] = figure13(**_windows(scale))
+    results["fig13"] = figure13(**windows)
     note("figure 14 (approximable-ratio sensitivity)…")
-    results["fig14"] = figure14(**_windows(scale))
+    results["fig14"] = figure14(**windows)
     note("figure 16 (application output quality)…")
-    results["fig16"] = figure16(**_windows(scale))
+    results["fig16"] = figure16(**windows)
     note("figure 17 (bodytrack)…")
     fig17 = figure17()
     results["fig17"] = {"track_error": fig17["track_error"],
@@ -226,8 +221,6 @@ def headline_rows(results: Dict[str, object]) -> List[dict]:
 
 def render_experiments_md(results: Dict[str, object]) -> str:
     """The full EXPERIMENTS.md document for one result bundle."""
-    from repro.harness.report import format_table
-
     lines = [
         "# EXPERIMENTS — paper-reported vs measured",
         "",
@@ -279,7 +272,6 @@ def render_experiments_md(results: Dict[str, object]) -> str:
     ]
     rates = results["fig12_rates"]
     for key, series in results["fig12"].items():
-        from repro.harness.report import format_series
         lines.append(format_series(f"{key} — latency (cycles) vs offered "
                                    "load (flits/cycle/node)",
                                    "rate", rates, series))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.harness.experiment import MECHANISM_ORDER, RunResult
-from repro.harness.parallel import RunSpec, parallel_map
+from repro.harness.parallel import RunSpec, parallel_map, suite_specs
 from repro.noc import NocConfig, PAPER_CONFIG
 
 
@@ -52,12 +52,9 @@ def _sweep_specs(benchmark: str, mechanisms: Sequence[str],
     """Seed-major spec grid: every mechanism at one seed is contiguous, so
     each recorded trace is reused across all mechanisms (per process and in
     the parallel engine's chunked dispatch) instead of re-recorded."""
-    return [RunSpec(config=config, mechanism=mechanism, benchmark=benchmark,
-                    trace_cycles=trace_cycles, warmup=warmup,
-                    measure=measure, seed=seed,
-                    error_threshold_pct=error_threshold_pct)
-            for seed in seeds
-            for mechanism in mechanisms]
+    return [spec for seed in seeds for spec in suite_specs(
+        config, (benchmark,), mechanisms, error_threshold_pct,
+        trace_cycles=trace_cycles, warmup=warmup, measure=measure, seed=seed)]
 
 
 def seed_sweep(benchmark: str, mechanism: str,

@@ -21,7 +21,7 @@ first simulated cycle.  This module is the scale path (DESIGN.md §17):
   :func:`import_gem5_trace` — converters, exposed with the recorder via
   ``python -m repro.traffic``.
 
-The event horizon (DESIGN.md §8) survives streaming because a trace
+The event horizon (DESIGN.md §12) survives streaming because a trace
 file always knows the due cycle of record ``i`` without decoding a
 chunk: ``peek_cycle`` reads eight bytes out of the mapping.  So
 ``next_arrival`` stays pure — chunk caching happens only inside

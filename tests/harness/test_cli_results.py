@@ -1,9 +1,11 @@
 """Tests for the CLI entry points and the results/EXPERIMENTS generator."""
 
+import hashlib
 import json
 
 import pytest
 
+from repro.harness import figures
 from repro.harness.__main__ import TARGETS, main as cli_main, run_target
 from repro.harness.results import (
     collect_all,
@@ -11,6 +13,10 @@ from repro.harness.results import (
     main as results_main,
     render_experiments_md,
 )
+
+#: sha256 of ``render_experiments_md(collect_all(scale=0.05))``.
+RENDERED_SHA256_SCALE_0_05 = (
+    "05efa0014cda421101b75076305ae591670cde410b6150bd09d97274be79a3da")
 
 
 class TestCliTargets:
@@ -43,6 +49,25 @@ class TestCliTargets:
         out = capsys.readouterr().out
         assert "Table 1" in out and "encoder area" in out
 
+    @pytest.mark.parametrize("target, driver", [
+        ("fig9", "run_benchmark_suite"), ("fig12", "figure12"),
+        ("fig13", "figure13"), ("fig14", "figure14"), ("fig16", "figure16")])
+    def test_engine_options_reach_every_simulated_target(
+            self, target, driver, monkeypatch):
+        seen = {}
+
+        class Reached(Exception):
+            pass
+
+        def fake(**kwargs):
+            seen.update(kwargs)
+            raise Reached
+
+        monkeypatch.setattr(figures, driver, fake)
+        with pytest.raises(Reached):
+            run_target(target, scale=0.05, workers=3, use_cache=False)
+        assert seen["workers"] == 3 and seen["use_cache"] is False
+
     def test_all_expands(self):
         assert set(TARGETS) >= {"table1", "fig9", "fig16", "area"}
 
@@ -72,6 +97,10 @@ class TestResultsBundle:
                         "## Figure 9", "## Figure 12", "## Figure 16",
                         "## §5.5"):
             assert heading in document
+        # Pins every number of every figure at this scale: a refactor of
+        # how figures reach the simulator must not move a single byte.
+        assert (hashlib.sha256(document.encode()).hexdigest()
+                == RENDERED_SHA256_SCALE_0_05)
 
     def test_main_writes_files(self, bundle, tmp_path, monkeypatch):
         out = tmp_path / "EXP.md"

@@ -11,7 +11,7 @@ import pytest
 from repro.harness import experiment as experiment_mod
 from repro.harness import parallel as parallel_mod
 from repro.harness.experiment import RunResult, benchmark_trace, run_trace
-from repro.harness.figures import run_benchmark_suite
+from repro.harness.figures import figure12, figure13, run_benchmark_suite
 from repro.harness.parallel import (
     NO_CACHE_ENV,
     RunSpec,
@@ -23,7 +23,7 @@ from repro.harness.parallel import (
     suite_specs,
 )
 from repro.harness.sweeps import mechanism_comparison_with_error_bars
-from repro.noc import NocConfig
+from repro.noc import PAPER_CONFIG, NocConfig
 
 SMALL = NocConfig(mesh_width=2, mesh_height=2, concentration=2)
 
@@ -38,6 +38,16 @@ def small_spec(**overrides) -> RunSpec:
 class TestRunSpec:
     def test_cache_key_is_stable(self):
         assert small_spec().cache_key() == small_spec().cache_key()
+
+    def test_cache_key_is_pinned(self):
+        spec = RunSpec(config=PAPER_CONFIG, mechanism="FP-VAXX",
+                       benchmark="ssca2", trace_cycles=6000, warmup=3000,
+                       measure=3000)
+        assert spec.cache_key() == (
+            "4482b4b3dcce03ae15dde60a720891f4ea74419ffb42c6553e7098417bb4d8ec"
+        ), ("RunSpec.canonical() changed: this invalidates every result "
+            "cache entry and every service envelope digest pinned in "
+            "benchmarks/e2e/expected.json")
 
     def test_cache_key_tracks_every_field(self):
         base = small_spec()
@@ -101,25 +111,49 @@ class TestResultCache:
         assert warm.simulation_outputs() == cold.simulation_outputs()
 
 
+def assert_serial_pool_cached_identical(build, monkeypatch):
+    """``build(workers, use_cache)`` gives the same value in-process
+    without the cache, on a cold 2-process pool, and from the cache."""
+    serial = build(workers=None, use_cache=False)   # in-process, uncached
+    cold = build(workers=2, use_cache=None)         # 2-process pool
+    assert cold == serial
+
+    def boom(_spec):  # a warm pass must not execute anything
+        raise AssertionError("cache hit should not re-execute")
+
+    monkeypatch.setattr(parallel_mod, "execute_spec", boom)
+    assert build(workers=2, use_cache=None) == serial
+
+
 class TestParallelDeterminism:
     @pytest.mark.parametrize("benchmarks",
                              [("ssca2",), ("x264", "streamcluster")])
     def test_suite_parallel_matches_serial(self, benchmarks, tmp_path,
                                            monkeypatch):
         monkeypatch.setenv(parallel_mod.CACHE_DIR_ENV, str(tmp_path))
-        kw = dict(config=SMALL, benchmarks=benchmarks,
-                  mechanisms=("Baseline", "DI-COMP", "FP-VAXX"),
-                  trace_cycles=900, warmup=350, measure=350)
-        serial = run_benchmark_suite(**kw)            # plain in-process loop
-        cold = run_benchmark_suite(workers=2, **kw)   # 2-process pool
-        warm = run_benchmark_suite(workers=2, **kw)   # served from cache
-        for benchmark in benchmarks:
-            for mechanism, reference in serial.runs[benchmark].items():
-                expected = reference.simulation_outputs()
-                assert (cold.runs[benchmark][mechanism].simulation_outputs()
-                        == expected)
-                assert (warm.runs[benchmark][mechanism].simulation_outputs()
-                        == expected)
+
+        def build(**engine):
+            suite = run_benchmark_suite(
+                config=SMALL, benchmarks=benchmarks,
+                mechanisms=("Baseline", "DI-COMP", "FP-VAXX"),
+                trace_cycles=900, warmup=350, measure=350, **engine)
+            return {(benchmark, mechanism): run.simulation_outputs()
+                    for benchmark, runs in suite.runs.items()
+                    for mechanism, run in runs.items()}
+
+        assert_serial_pool_cached_identical(build, monkeypatch)
+
+    def test_figure12_parallel_matches_serial(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(parallel_mod.CACHE_DIR_ENV, str(tmp_path))
+
+        def build(**engine):
+            return figure12(config=SMALL, benchmarks=("streamcluster",),
+                            patterns=("uniform_random", "transpose"),
+                            injection_rates=(0.05, 0.30),
+                            mechanisms=("Baseline", "FP-VAXX"),
+                            warmup=300, measure=600, **engine)
+
+        assert_serial_pool_cached_identical(build, monkeypatch)
 
     def test_results_keep_spec_order(self, monkeypatch, tmp_path):
         monkeypatch.setenv(parallel_mod.CACHE_DIR_ENV, str(tmp_path))
@@ -128,6 +162,51 @@ class TestParallelDeterminism:
                             trace_cycles=900, warmup=350, measure=350)
         results = parallel_map(specs, workers=2)
         assert [r.mechanism for r in results] == [s.mechanism for s in specs]
+
+
+class TestCrossFigureReuse:
+    FAST = dict(config=SMALL, benchmarks=("ssca2",), trace_cycles=1200,
+                warmup=600, measure=600)
+
+    def count_engine(self, monkeypatch):
+        executed, hits = [], []
+        real_execute = parallel_mod.execute_spec
+        real_load = parallel_mod.load_cached
+
+        def execute(spec):
+            executed.append(spec)
+            return real_execute(spec)
+
+        def load(spec):
+            result = real_load(spec)
+            if result is not None:
+                hits.append(spec)
+            return result
+
+        monkeypatch.setattr(parallel_mod, "execute_spec", execute)
+        monkeypatch.setattr(parallel_mod, "load_cached", load)
+        return executed, hits
+
+    def test_figure13_reuses_suite_runs(self, tmp_path, monkeypatch):
+        """Fig 13's compression and 10% runs are Fig 9 suite runs: only
+        the 5% and 20% approximation runs execute."""
+        monkeypatch.setenv(parallel_mod.CACHE_DIR_ENV, str(tmp_path))
+        run_benchmark_suite(**self.FAST)
+        executed, hits = self.count_engine(monkeypatch)
+        figure13(**self.FAST)
+        assert sorted((s.mechanism, s.error_threshold_pct)
+                      for s in executed) == [
+            ("DI-VAXX", 5.0), ("DI-VAXX", 20.0),
+            ("FP-VAXX", 5.0), ("FP-VAXX", 20.0)]
+        assert len(hits) == 4
+
+    def test_no_cache_env_recomputes(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(parallel_mod.CACHE_DIR_ENV, str(tmp_path))
+        monkeypatch.setenv(NO_CACHE_ENV, "1")
+        run_benchmark_suite(**self.FAST)
+        executed, hits = self.count_engine(monkeypatch)
+        figure13(**self.FAST)
+        assert len(executed) == 8 and not hits
 
 
 class TestSweepTraceReuse:
