@@ -39,6 +39,12 @@ DRAW_METHODS = frozenset({
     "expovariate", "shuffle", "bernoulli", "sample", "uniform",
 })
 
+#: Attributes that hand out a stream's raw draw function
+#: (``DeterministicRng.uniform``).  Loading one is audited as a draw:
+#: the calls through the bound function that follow are otherwise
+#: invisible to the pass.
+DRAW_ACCESSORS = frozenset({"uniform"})
+
 #: Fault-class salt constant names -> stream class tag.
 SALT_NAMES: Dict[str, str] = {
     "BITFLIP_SALT": "bitflip",
@@ -185,11 +191,12 @@ def _is_rng_constructor(func: ast.expr) -> bool:
 
 
 class _DrawSite:
-    """One entropy-consuming call with the receiver's solved taints."""
+    """One entropy-consuming call (or draw-accessor load) with the
+    receiver's solved taints."""
 
     __slots__ = ("item", "call", "method", "taints")
 
-    def __init__(self, item: FuncItem, call: ast.Call, method: str,
+    def __init__(self, item: FuncItem, call: ast.expr, method: str,
                  taints: Labels):
         self.item = item
         self.call = call
@@ -328,10 +335,20 @@ def _report_elem(item: FuncItem, ev: RngTaintEval, elem: ast.AST,
                  state: State, salts: Dict[str, int],
                  draws: List[_DrawSite], forks: List[_ForkSite]) -> None:
     for expr in _elem_exprs(elem):
+        # ast.walk is breadth-first: a call is seen before its callee.
+        callees: Set[int] = set()
         for node in ast.walk(expr):
+            if isinstance(node, ast.Attribute) and \
+                    node.attr in DRAW_ACCESSORS and \
+                    id(node) not in callees:
+                taints = _rng_only(ev.eval(node.value, dict(state)))
+                if taints:
+                    draws.append(_DrawSite(item, node, node.attr, taints))
+                continue
             if not isinstance(node, ast.Call) or \
                     not isinstance(node.func, ast.Attribute):
                 continue
+            callees.add(id(node.func))
             receiver = ev.eval(node.func.value, dict(state))
             taints = _rng_only(receiver)
             if node.func.attr in DRAW_METHODS and taints:

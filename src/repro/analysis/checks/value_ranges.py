@@ -822,13 +822,14 @@ class AvclErrorBound(ProjectRule):
         """The certified mask is only meaningful if the matchers consume
         it: APCL ternary patterns must be built from ``info.mask`` (or
         exact on bypass) and match through its complement; DI-VAXX must
-        match via the ternary pattern and honour ``bypass``; FP-VAXX
-        must pass ``info.mask`` to the comparator and honour ``bypass``."""
+        match through the ternary care mask and honour ``bypass``;
+        FP-VAXX must pass ``info.mask`` to the comparator and honour
+        ``bypass``."""
         apcl = project.modules.get("repro.core.apcl")
         if apcl is not None:
             yield from self._check_apcl(apcl)
         for module, needs in (("repro.core.di_vaxx",
-                               (("matches", "approximate TCAM matching"),
+                               (("care_mask", "the ternary care mask"),
                                 ("bypass", "float special-value bypass"))),
                               ("repro.core.fp_vaxx",
                                (("mask", "the certified don't-care mask"),
@@ -871,23 +872,25 @@ class AvclErrorBound(ProjectRule):
         pattern_cls = _find_class(ctx.tree, "TernaryPattern")
         if pattern_cls is None:
             return
-        matches = _find_def(pattern_cls.body, "matches")
-        if matches is None:
-            yield self.finding_at(
-                ctx, pattern_cls,
-                "TernaryPattern has no matches(): nothing applies the "
-                "certified don't-care mask")
-            return
-        inverts_mask = any(
-            isinstance(node, ast.UnaryOp)
-            and isinstance(node.op, ast.Invert)
-            and any(isinstance(inner, ast.Attribute)
-                    and inner.attr == "mask"
-                    for inner in ast.walk(node.operand))
-            for node in ast.walk(matches))
-        if not inverts_mask:
-            yield self.finding_at(
-                ctx, matches,
-                "TernaryPattern.matches does not compare through the "
-                "mask complement (~mask): don't-care bits are not "
-                "actually ignored")
+        for name, role in (("matches", "applies"),
+                           ("care_mask", "stores for the TCAM")):
+            fn = _find_def(pattern_cls.body, name)
+            if fn is None:
+                yield self.finding_at(
+                    ctx, pattern_cls,
+                    f"TernaryPattern has no {name}(): nothing {role} the "
+                    f"certified don't-care mask")
+                continue
+            inverts_mask = any(
+                isinstance(node, ast.UnaryOp)
+                and isinstance(node.op, ast.Invert)
+                and any(isinstance(inner, ast.Attribute)
+                        and inner.attr == "mask"
+                        for inner in ast.walk(node.operand))
+                for node in ast.walk(fn))
+            if not inverts_mask:
+                yield self.finding_at(
+                    ctx, fn,
+                    f"TernaryPattern.{name} does not go through the mask "
+                    f"complement (~mask): don't-care bits are not "
+                    f"actually ignored")

@@ -84,9 +84,7 @@ class AdaptiveNode(NodeCodec):
     # ------------------------------------------------------------- codec
 
     def _raw_encode(self, block: CacheBlock) -> EncodedBlock:
-        words = [WordEncoding(original=w, decoded=w, bits=32,
-                              compressed=False, approximated=False)
-                 for w in block.words]
+        words = [WordEncoding(w, w, 32, False, False) for w in block.words]
         encoded = self._finish_encode(words, block,
                                       size_bits=block.size_bits)
         encoded.compression_cycles = 0

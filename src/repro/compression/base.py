@@ -30,9 +30,9 @@ import abc
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
-from repro.core.block import CacheBlock, DataType, relative_word_error
+from repro.core.block import CacheBlock, DataType
 from repro.core.quality import QualityTracker
 
 
@@ -61,14 +61,15 @@ class Notification:
     dtype: DataType = DataType.INT
 
 
-@dataclass(frozen=True)
-class WordEncoding:
+class WordEncoding(NamedTuple):
     """Outcome for one 32-bit word inside an encoded block.
 
     ``bits`` counts every bit the word contributes to the network
     representation (prefix/flag + index/data).  ``decoded`` is the pattern
     the destination will recover; for exact compression and uncompressed
-    words it equals ``original``.
+    words it equals ``original``.  ``error`` is the relative error of the
+    substitution (:func:`~repro.core.block.relative_word_error`), computed
+    once by the codec that made it; it is 0.0 for every exact word.
     """
 
     original: int
@@ -77,6 +78,7 @@ class WordEncoding:
     compressed: bool
     approximated: bool
     code: Optional[int] = None
+    error: float = 0.0
 
     @property
     def exact(self) -> bool:
@@ -185,9 +187,7 @@ class NodeCodec(abc.ABC):
         size_bits += flag
         raw_bits = block.size_bits + flag
         if size_bits > raw_bits:
-            words = [WordEncoding(original=w.original, decoded=w.original,
-                                  bits=32, compressed=False,
-                                  approximated=False)
+            words = [WordEncoding(w.original, w.original, 32, False, False)
                      for w in words]
             size_bits = raw_bits
         stats = self.scheme.stats
@@ -196,13 +196,10 @@ class NodeCodec(abc.ABC):
         stats.output_bits += size_bits
         quality = self.scheme.quality
         quality.record_block(block.approximable)
-        for w in words:
-            err = 0.0
-            if not w.exact:
-                err = relative_word_error(w.original, w.decoded, block.dtype)
-            quality.record_word(encoded=w.compressed,
-                                approximated=w.approximated,
-                                relative_error=err)
+        encoded = [w.approximated for w in words if w.compressed]
+        quality.record_words(len(words), encoded.count(False),
+                             encoded.count(True),
+                             [w.error for w in words if w.error])
         return EncodedBlock(words=words, dtype=block.dtype,
                             approximable=block.approximable,
                             size_bits=size_bits)

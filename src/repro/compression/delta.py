@@ -30,7 +30,7 @@ from repro.compression.base import (
     WordEncoding,
 )
 from repro.core.avcl import Avcl
-from repro.core.block import CacheBlock
+from repro.core.block import CacheBlock, relative_word_error
 from repro.core.error_control import ErrorBudget
 from repro.util.bitops import to_unsigned
 
@@ -114,10 +114,12 @@ class BdVaxxNode(BdCompNode):
         base = values[0]
         for width in DELTA_WIDTHS:
             decoded: List[int] = [values[0]]
+            errors: List[float] = [0.0]
             ok = True
             for pattern, value in zip(block.words[1:], values[1:]):
                 if _fits(value - base, width):
                     decoded.append(value)
+                    errors.append(0.0)
                     continue
                 info = self.avcl.evaluate(pattern, block.dtype)
                 if info.bypass:
@@ -128,22 +130,26 @@ class BdVaxxNode(BdCompNode):
                 if not info.matches(cand_pattern):
                     ok = False
                     break
-                if not self.budget.admits(pattern, cand_pattern,
-                                          block.dtype):
+                error = relative_word_error(pattern, cand_pattern,
+                                            block.dtype)
+                if not self.budget.admits(error):
                     ok = False
                     break
                 decoded.append(candidate)
+                errors.append(error)
             if not ok:
                 continue
             words = [WordEncoding(original=block.words[0],
                                   decoded=block.words[0], bits=BASE_BITS,
                                   compressed=True, approximated=False)]
-            for pattern, value in zip(block.words[1:], decoded[1:]):
+            for pattern, value, error in zip(block.words[1:], decoded[1:],
+                                             errors[1:]):
                 decoded_pattern = to_unsigned(value)
+                approximated = decoded_pattern != pattern
                 words.append(WordEncoding(
                     original=pattern, decoded=decoded_pattern, bits=width,
-                    compressed=True,
-                    approximated=decoded_pattern != pattern))
+                    compressed=True, approximated=approximated,
+                    error=error))
             size = SELECTOR_BITS + BASE_BITS + width * (len(values) - 1)
             return words, size
         return None

@@ -234,14 +234,11 @@ class DiCompNode(NodeCodec):
             index = self._lookup(word, dst)
             if index is not None:
                 bits = WORD_FLAG_BITS + self._index_bits
-                words.append(WordEncoding(original=word, decoded=word,
-                                          bits=bits, compressed=True,
-                                          approximated=False, code=index))
+                words.append(WordEncoding(word, word, bits, True, False,
+                                          index))
             else:
                 bits = WORD_FLAG_BITS + 32
-                words.append(WordEncoding(original=word, decoded=word,
-                                          bits=bits, compressed=False,
-                                          approximated=False))
+                words.append(WordEncoding(word, word, bits, False, False))
             size_bits += bits
         return self._finish_encode(words, block, size_bits)
 

@@ -211,6 +211,48 @@ COMPRESSIBLE_CLASSES: Tuple[PatternClass, ...] = (
 UNCOMPRESSED_CLASS = Uncompressed()
 
 
+#: The first four rows (zero run and the three sign-extended widths) only
+#: have members in the halfword sign-extended range
+#: ``[0, NARROW_POS_HI] u [NARROW_NEG_LO, 2^32)``: each narrower row's range
+#: is contained in it.  A word (or masked block) outside that range can
+#: skip them; the remaining rows keep their table order.
+NARROW_POS_HI = 0x7FFF
+NARROW_NEG_LO = (1 << 32) - 0x8000
+WIDE_CLASSES: Tuple[PatternClass, ...] = COMPRESSIBLE_CLASSES[4:]
+
+
+def classify_exact(word: int) -> Tuple[PatternClass, int]:
+    """Highest-priority exact class of ``word`` (falls back to uncompressed).
+
+    The uncached body of :func:`match_exact`.
+    """
+    word &= WORD_MASK
+    rows = (WIDE_CLASSES if NARROW_POS_HI < word < NARROW_NEG_LO
+            else COMPRESSIBLE_CLASSES)
+    for cls in rows:
+        if cls.exact_match(word):
+            return cls, word
+    return UNCOMPRESSED_CLASS, word
+
+
+def classify_approx(word: int, mask: int) -> Tuple[PatternClass, int]:
+    """Highest-priority class matching the masked word (Figure 6).
+
+    Mirrors the paper's priority rule (§5.3.1): the *highest-priority*
+    pattern wins even when a lower-priority row would have matched exactly,
+    which can convert exact matches into approximate ones as the threshold
+    grows.  The uncached body of :func:`match_approx`.
+    """
+    lo = word & ~mask & WORD_MASK
+    rows = (WIDE_CLASSES if NARROW_POS_HI < lo and lo + mask < NARROW_NEG_LO
+            else COMPRESSIBLE_CLASSES)
+    for cls in rows:
+        candidate = cls.approx_match(word, mask)
+        if candidate is not None:
+            return cls, candidate
+    return UNCOMPRESSED_CLASS, word & WORD_MASK
+
+
 #: Entries kept in each shared match cache.  Pattern matching is a pure
 #: function of its arguments and the pattern table is static, so the caches
 #: are safely shared by every node codec in the process; real traffic
@@ -220,27 +262,14 @@ MATCH_CACHE_SIZE = 1 << 17
 
 @lru_cache(maxsize=MATCH_CACHE_SIZE)
 def match_exact(word: int) -> Tuple[PatternClass, int]:
-    """Highest-priority exact class of ``word`` (falls back to uncompressed)."""
-    for cls in COMPRESSIBLE_CLASSES:
-        if cls.exact_match(word):
-            return cls, word & WORD_MASK
-    return UNCOMPRESSED_CLASS, word & WORD_MASK
+    """Memoized :func:`classify_exact`."""
+    return classify_exact(word)
 
 
 @lru_cache(maxsize=MATCH_CACHE_SIZE)
 def match_approx(word: int, mask: int) -> Tuple[PatternClass, int]:
-    """Highest-priority class matching the masked word (Figure 6).
-
-    Mirrors the paper's priority rule (§5.3.1): the *highest-priority*
-    pattern wins even when a lower-priority row would have matched exactly,
-    which can convert exact matches into approximate ones as the threshold
-    grows.
-    """
-    for cls in COMPRESSIBLE_CLASSES:
-        candidate = cls.approx_match(word, mask)
-        if candidate is not None:
-            return cls, candidate
-    return UNCOMPRESSED_CLASS, word & WORD_MASK
+    """Memoized :func:`classify_approx`."""
+    return classify_approx(word, mask)
 
 
 def match_cache_info() -> Tuple["lru_cache", "lru_cache"]:

@@ -7,7 +7,7 @@ the comparison mechanisms every figure plots against.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.compression import fpc
 from repro.compression.base import (
@@ -20,13 +20,16 @@ from repro.compression.base import (
 from repro.core.block import CacheBlock
 
 
+#: Pattern-table codes the assembler special-cases.
+ZERO_CODE = fpc.COMPRESSIBLE_CLASSES[0].code
+UNCOMPRESSED_CODE = fpc.UNCOMPRESSED_CLASS.code
+
+
 class BaselineNode(NodeCodec):
     """Identity codec: every word travels verbatim."""
 
     def encode(self, block: CacheBlock, dst: int) -> EncodedBlock:
-        words = [WordEncoding(original=w, decoded=w, bits=32,
-                              compressed=False, approximated=False)
-                 for w in block.words]
+        words = [WordEncoding(w, w, 32, False, False) for w in block.words]
         return self._finish_encode(words, block, size_bits=32 * len(words))
 
     def decode(self, encoded: EncodedBlock, src: int) -> DecodeResult:
@@ -50,37 +53,46 @@ class BaselineScheme(CompressionScheme):
         return BaselineNode(self, node_id)
 
 
-def assemble_fpc_words(
-        matches: Sequence[Tuple[int, fpc.PatternClass, int, bool]],
-) -> Tuple[List[WordEncoding], int]:
-    """Turn per-word FPC matches into word encodings with zero-run merging.
+def fpc_word(original: int, cls: fpc.PatternClass, candidate: int,
+             error: float = 0.0) -> WordEncoding:
+    """``original`` encoded by pattern row ``cls`` as ``candidate``.
 
-    ``matches`` holds ``(original, pattern_class, candidate, approximated)``
-    per word.  Consecutive zero-class words merge into runs of up to
-    :data:`fpc.MAX_ZERO_RUN`: the first word of a run pays prefix + 3-bit run
-    length, subsequent words ride free.
+    ``error`` is the substitution's relative error (0.0 when ``candidate
+    == original``); a compressed word whose candidate differs from the
+    original is an approximation.  A zero-row word is sized as the head of
+    a zero run; :func:`assemble_fpc_words` frees the rest of the run.
+    """
+    compressed = cls.code != UNCOMPRESSED_CODE
+    return WordEncoding(original, candidate, fpc.PREFIX_BITS + cls.data_bits,
+                        compressed, compressed and candidate != original,
+                        cls.code, error)
+
+
+def assemble_fpc_words(
+        encodings: Iterable[WordEncoding],
+) -> Tuple[List[WordEncoding], int]:
+    """Merge zero runs across a block's :func:`fpc_word` encodings.
+
+    Consecutive zero-row words merge into runs of up to
+    :data:`fpc.MAX_ZERO_RUN`: the first word of a run pays prefix + 3-bit
+    run length, subsequent words ride free.  Returns the words and the
+    block's total bits.
     """
     words: List[WordEncoding] = []
+    append = words.append
     size_bits = 0
     run_remaining = 0
-    for original, cls, candidate, approximated in matches:
-        if cls.code == 0b000:
+    for enc in encodings:
+        if enc.code == ZERO_CODE:
             if run_remaining > 0:
-                bits = 0
+                enc = enc._replace(bits=0)
                 run_remaining -= 1
             else:
-                bits = fpc.PREFIX_BITS + cls.data_bits
                 run_remaining = fpc.MAX_ZERO_RUN - 1
         else:
             run_remaining = 0
-            bits = fpc.PREFIX_BITS + cls.data_bits
-        compressed = cls.code != fpc.UNCOMPRESSED_CLASS.code
-        words.append(WordEncoding(original=original, decoded=candidate,
-                                  bits=bits, compressed=compressed,
-                                  approximated=approximated and compressed
-                                  and candidate != original,
-                                  code=cls.code))
-        size_bits += bits
+        append(enc)
+        size_bits += enc.bits
     return words, size_bits
 
 
@@ -88,11 +100,11 @@ class FpCompNode(NodeCodec):
     """Exact frequent-pattern compression (Das et al. [12])."""
 
     def encode(self, block: CacheBlock, dst: int) -> EncodedBlock:
-        matches = []
+        encodings = []
         for word in block.words:
             cls, candidate = fpc.match_exact(word)
-            matches.append((word, cls, candidate, False))
-        words, size_bits = assemble_fpc_words(matches)
+            encodings.append(fpc_word(word, cls, candidate))
+        words, size_bits = assemble_fpc_words(encodings)
         return self._finish_encode(words, block, size_bits)
 
     def decode(self, encoded: EncodedBlock, src: int) -> DecodeResult:

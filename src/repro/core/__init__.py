@@ -23,7 +23,6 @@ from repro.core.avcl import ApproxInfo, Avcl, shift_bits_for_threshold
 from repro.core.block import (
     BLOCK_BYTES,
     WORDS_PER_BLOCK,
-    BlockErrorReport,
     CacheBlock,
     DataType,
     relative_word_error,
@@ -41,7 +40,6 @@ __all__ = [
     "shift_bits_for_threshold",
     "BLOCK_BYTES",
     "WORDS_PER_BLOCK",
-    "BlockErrorReport",
     "CacheBlock",
     "DataType",
     "relative_word_error",

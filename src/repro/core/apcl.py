@@ -31,6 +31,11 @@ class TernaryPattern:
         object.__setattr__(self, "mask", self.mask & WORD_MASK)
 
     @property
+    def care_mask(self) -> int:
+        """The care-bit positions (the complement of the don't cares)."""
+        return ~self.mask & WORD_MASK
+
+    @property
     def care_value(self) -> int:
         """The stored value restricted to its care bits."""
         return self.value & ~self.mask & WORD_MASK

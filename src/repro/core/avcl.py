@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.core.block import DataType
 from repro.util.bitops import (
+    EXPONENT_MASK,
+    EXPONENT_SHIFT,
     MANTISSA_BITS,
     MANTISSA_MASK,
     WORD_BITS,
@@ -86,8 +87,7 @@ def shift_bits_for_threshold(error_threshold_pct: float,
     return shift
 
 
-@dataclass(frozen=True, slots=True)
-class ApproxInfo:
+class ApproxInfo(NamedTuple):
     """Result of one AVCL evaluation for a single word.
 
     ``dont_care_bits`` low-order bits of ``pattern`` may differ between the
@@ -123,7 +123,7 @@ class ApproxInfo:
 # AVCL evaluation is a pure function of ``(word, dtype, shift, mode)``; real
 # traffic re-presents the same word patterns millions of times per sweep, so
 # one shared LRU cache serves every Avcl instance (and every mechanism) in
-# the process.  ``ApproxInfo`` is frozen, so returning a shared instance to
+# the process.  ``ApproxInfo`` is immutable, so returning a shared instance to
 # concurrent callers is safe.
 # --------------------------------------------------------------------------
 
@@ -250,6 +250,13 @@ class Avcl:
     # ------------------------------------------------------------- floats
 
     @staticmethod
+    def bypass(word: int) -> bool:
+        """Float exponent detection of Figure 4: True when ``word`` is a
+        special value (exponent 0 or all-ones) that bypasses the AVCL."""
+        exponent = (word >> EXPONENT_SHIFT) & EXPONENT_MASK
+        return exponent == 0 or exponent == EXPONENT_MASK
+
+    @staticmethod
     def extract_significand(word: int) -> Optional[int]:
         """Mantissa extraction of Figure 4.
 
@@ -257,10 +264,9 @@ class Avcl:
         32 bits) or ``None`` when the float exponent detection logic flags a
         special value (exponent 0 or all-ones) that must bypass the AVCL.
         """
-        _sign, exponent, mantissa = float_fields(word)
-        if exponent in (0, 0xFF):
+        if Avcl.bypass(word):
             return None
-        return (1 << MANTISSA_BITS) | mantissa
+        return (1 << MANTISSA_BITS) | (word & MANTISSA_MASK)
 
     @staticmethod
     def replace_significand(word: int, significand: int) -> int:

@@ -12,13 +12,14 @@ access request (§3.2, §5.1):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+import struct
+from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.util.bitops import (
     WORD_MASK,
     bits_to_float,
-    float_to_bits,
     to_signed,
     to_unsigned,
 )
@@ -51,11 +52,12 @@ class CacheBlock:
     approximable: bool = False
 
     def __post_init__(self) -> None:
-        cleaned = tuple(w & WORD_MASK for w in self.words)
-        if any(w != c for w, c in zip(self.words, cleaned)):
-            object.__setattr__(self, "words", cleaned)
-        if not self.words:
+        words = self.words
+        if not words:
             raise ValueError("a cache block must contain at least one word")
+        if min(words) < 0 or max(words) > WORD_MASK:
+            object.__setattr__(self, "words",
+                               tuple(w & WORD_MASK for w in words))
 
     @classmethod
     def from_ints(cls, values: Iterable[int],
@@ -67,8 +69,14 @@ class CacheBlock:
     @classmethod
     def from_floats(cls, values: Iterable[float],
                     approximable: bool = False) -> "CacheBlock":
-        """Build a float block from Python floats (stored as float32 bits)."""
-        return cls(tuple(float_to_bits(v) for v in values),
+        """Build a float block from Python floats (stored as float32 bits).
+
+        One ``struct`` round trip packs the whole block; it rounds each
+        value exactly as :func:`~repro.util.bitops.float_to_bits` does.
+        """
+        floats = tuple(values)
+        n = len(floats)
+        return cls(struct.unpack(f"<{n}I", struct.pack(f"<{n}f", *floats)),
                    dtype=DataType.FLOAT, approximable=approximable)
 
     @property
@@ -101,36 +109,10 @@ class CacheBlock:
         return iter(self.words)
 
 
-@dataclass
-class BlockErrorReport:
-    """Per-block record of the value error an approximation step incurred.
-
-    ``relative_errors`` holds one entry per word: |approx - precise| divided
-    by max(|precise|, 1) for integers, or the relative significand deviation
-    for floats. ``quality`` is ``1 - mean(relative_errors)`` — the "data
-    value quality" metric plotted on the right axis of Figure 9.
-    """
-
-    relative_errors: List[float] = field(default_factory=list)
-    approximated_words: int = 0
-    exact_words: int = 0
-
-    @property
-    def total_words(self) -> int:
-        """Words the report covers."""
-        return len(self.relative_errors)
-
-    @property
-    def mean_error(self) -> float:
-        """Mean per-word relative error (0.0 for an empty report)."""
-        if not self.relative_errors:
-            return 0.0
-        return sum(self.relative_errors) / len(self.relative_errors)
-
-    @property
-    def quality(self) -> float:
-        """Data value quality: 1 minus the mean relative error."""
-        return 1.0 - self.mean_error
+#: Two words packed, then read back as two float32 values: one ``struct``
+#: round trip instead of two :func:`~repro.util.bitops.bits_to_float` calls.
+_WORD_PAIR = struct.Struct("<2I")
+_FLOAT_PAIR = struct.Struct("<2f")
 
 
 def relative_word_error(precise: int, approx: int, dtype: DataType) -> float:
@@ -144,11 +126,11 @@ def relative_word_error(precise: int, approx: int, dtype: DataType) -> float:
     if dtype is DataType.INT:
         p, a = to_signed(precise), to_signed(approx)
         return abs(a - p) / max(abs(p), 1)
-    pf, af = bits_to_float(precise), bits_to_float(approx)
+    pf, af = _FLOAT_PAIR.unpack(_WORD_PAIR.pack(precise & WORD_MASK,
+                                                approx & WORD_MASK))
     if pf != pf or af != af:  # NaN on either side
         return 0.0 if precise == approx else 1.0
-    if pf in (float("inf"), float("-inf")) or af in (float("inf"),
-                                                     float("-inf")):
+    if math.isinf(pf) or math.isinf(af):
         return 0.0 if pf == af else 1.0
     # The 1e-30 clamp keeps the divisor positive; the int-interval
     # domain cannot represent float constants.  # repro: allow[possible-zero-div]

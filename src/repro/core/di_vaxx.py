@@ -40,7 +40,7 @@ from repro.compression.dictionary import (
 )
 from repro.core.apcl import Apcl, TernaryPattern
 from repro.core.avcl import Avcl
-from repro.core.block import CacheBlock, DataType
+from repro.core.block import CacheBlock, DataType, relative_word_error
 from repro.core.error_control import ErrorBudget
 
 
@@ -54,12 +54,22 @@ class DestSlot:
 
 @dataclass
 class VaxxEncoderEntry:
-    """One TCAM row of the DI-VAXX encoder PMT (Figure 8)."""
+    """One TCAM row of the DI-VAXX encoder PMT (Figure 8).
+
+    The ternary pattern's care mask and care value are stored when the row
+    is installed, so a search compares them directly.
+    """
 
     ternary: TernaryPattern
     dtype: DataType
     freq: int = 1
     slots: Dict[int, DestSlot] = field(default_factory=dict)
+    care_mask: int = field(init=False)
+    care_value: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.care_mask = self.ternary.care_mask
+        self.care_value = self.ternary.care_value
 
 
 class DiVaxxNode(NodeCodec):
@@ -90,7 +100,7 @@ class DiVaxxNode(NodeCodec):
         for entry in self.encoder_entries:
             if entry is None or entry.dtype is not dtype:
                 continue
-            if not entry.ternary.matches(word):
+            if (word & entry.care_mask) != entry.care_value:
                 continue
             slot = entry.slots.get(dst)
             if slot is None:
@@ -105,34 +115,37 @@ class DiVaxxNode(NodeCodec):
     def encode(self, block: CacheBlock, dst: int) -> EncodedBlock:
         words: List[WordEncoding] = []
         size_bits = 0
+        dtype = block.dtype
+        approximable = block.approximable
+        # Float special values bypass approximation (Figure 4).
+        check_bypass = approximable and dtype is DataType.FLOAT
+        budget = self.budget
+        hit_bits = WORD_FLAG_BITS + self._index_bits
         for word in block.words:
-            approx_ok = block.approximable
-            if approx_ok and block.dtype is DataType.FLOAT:
-                # Float special values bypass approximation (Figure 4).
-                approx_ok = not self.avcl.evaluate_float(word).bypass
-            hit = self._tcam_search(word, dst, block.dtype,
+            approx_ok = approximable and not (check_bypass
+                                              and Avcl.bypass(word))
+            hit = self._tcam_search(word, dst, dtype,
                                     require_exact=not approx_ok)
+            error = 0.0
             if hit is not None and (not approx_ok or hit[1] == word):
-                self.budget.record_exact()
-            elif (hit is not None
-                    and not self.budget.admits(word, hit[1], block.dtype)):
-                # Error policy vetoed the approximate hit; retry exactly.
-                hit = self._tcam_search(word, dst, block.dtype,
-                                        require_exact=True)
+                budget.record_exact()
+            elif hit is not None:
+                error = relative_word_error(word, hit[1], dtype)
+                if not budget.admits(error):
+                    # Error policy vetoed the approximate hit; retry
+                    # exactly.
+                    error = 0.0
+                    hit = self._tcam_search(word, dst, dtype,
+                                            require_exact=True)
             if hit is None:
-                self.budget.record_exact()
-            if hit is not None:
-                index, recovered = hit
-                bits = WORD_FLAG_BITS + self._index_bits
-                words.append(WordEncoding(
-                    original=word, decoded=recovered, bits=bits,
-                    compressed=True, approximated=recovered != word,
-                    code=index))
-            else:
+                budget.record_exact()
                 bits = WORD_FLAG_BITS + 32
-                words.append(WordEncoding(original=word, decoded=word,
-                                          bits=bits, compressed=False,
-                                          approximated=False))
+                words.append(WordEncoding(word, word, bits, False, False))
+            else:
+                index, recovered = hit
+                bits = hit_bits
+                words.append(WordEncoding(word, recovered, bits, True,
+                                          recovered != word, index, error))
             size_bits += bits
         return self._finish_encode(words, block, size_bits)
 

@@ -6,6 +6,11 @@ independently (the AVCL mask construction).  Its stated future work is a
 words, so occasional larger deviations are admitted as long as the window
 average stays within the threshold.  Both are provided here; the engines
 consult the policy before accepting an approximate match.
+
+The engine that proposes a substitution computes its relative error once
+(:func:`~repro.core.block.relative_word_error`) and hands that number to
+the policy; the same number rides in the word's
+:class:`~repro.compression.base.WordEncoding` to the quality accounting.
 """
 
 from __future__ import annotations
@@ -14,25 +19,22 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque
 
-from repro.core.block import DataType, relative_word_error
-
 
 class ErrorBudget:
     """Base policy: admit any match the AVCL mask already allowed.
 
     The AVCL mask is constructed so a masked match deviates by at most the
-    error range, so the per-word policy is a no-op admission check that still
-    records the realized error for quality accounting.
+    error range, so the per-word policy is a no-op admission check.
     """
 
-    def admits(self, precise: int, approx: int, dtype: DataType) -> bool:
-        """Whether replacing ``precise`` with ``approx`` is acceptable."""
-        self.record(precise, approx, dtype)
+    def admits(self, error: float) -> bool:
+        """Whether a substitution of relative error ``error`` is
+        acceptable; an admitted substitution is recorded."""
+        self.record(error)
         return True
 
-    def record(self, precise: int, approx: int, dtype: DataType) -> float:
-        """Record a realized substitution; returns its relative error."""
-        return relative_word_error(precise, approx, dtype)
+    def record(self, error: float) -> None:
+        """Record a realized substitution of relative error ``error``."""
 
     def record_exact(self) -> None:
         """Record a word delivered without error (fast path).
@@ -86,22 +88,19 @@ class WindowErrorBudget(ErrorBudget):
             return 0.0
         return self._state.total / len(self._state.errors)
 
-    def admits(self, precise: int, approx: int, dtype: DataType) -> bool:
-        err = relative_word_error(precise, approx, dtype)
+    def admits(self, error: float) -> bool:
         window_len = min(len(self._state.errors) + 1, self._window)
         evicted = 0.0
         if len(self._state.errors) == self._window:
             evicted = self._state.errors[0]
-        projected = (self._state.total - evicted + err) / window_len
+        projected = (self._state.total - evicted + error) / window_len
         if projected > self._threshold:
             return False
-        self.record(precise, approx, dtype)
+        self._push(error)
         return True
 
-    def record(self, precise: int, approx: int, dtype: DataType) -> float:
-        err = relative_word_error(precise, approx, dtype)
-        self._push(err)
-        return err
+    def record(self, error: float) -> None:
+        self._push(error)
 
     def record_exact(self) -> None:
         self._push(0.0)

@@ -13,7 +13,7 @@ metrics the paper plots:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Sequence
 
 
 @dataclass
@@ -28,17 +28,24 @@ class QualityTracker:
     blocks: int = 0
     approximable_blocks: int = 0
 
-    def record_word(self, encoded: bool, approximated: bool,
-                    relative_error: float = 0.0) -> None:
-        """Record the outcome of one transmitted word."""
-        self.total_words += 1
-        if encoded and approximated:
-            self.approx_encoded_words += 1
-        elif encoded:
-            self.exact_encoded_words += 1
-        self.error_sum += relative_error
-        if relative_error > self.max_word_error:
-            self.max_word_error = relative_error
+    def record_words(self, total: int, exact_encoded: int,
+                     approx_encoded: int, errors: Sequence[float]) -> None:
+        """Record the outcome of one block's ``total`` transmitted words.
+
+        ``errors`` holds the non-zero relative errors in word order.  They
+        are added to ``error_sum`` one at a time, in that order, so the sum
+        is the same as adding every word's error (an exact word's 0.0 never
+        changes it).
+        """
+        self.total_words += total
+        self.exact_encoded_words += exact_encoded
+        self.approx_encoded_words += approx_encoded
+        error_sum = self.error_sum
+        for error in errors:
+            error_sum += error
+        self.error_sum = error_sum
+        if errors:
+            self.max_word_error = max(self.max_word_error, *errors)
 
     def record_block(self, approximable: bool) -> None:
         """Record one transmitted block (for approximable-ratio accounting)."""

@@ -21,6 +21,7 @@ from repro.compression.base import CompressionScheme
 from repro.compression.fpc import match_cache_info
 from repro.core import DiVaxxScheme, FpVaxxScheme
 from repro.core.avcl import evaluate_cache_info
+from repro.core.fp_vaxx import word_memo_totals
 from repro.noc import Network, NocConfig
 from repro.power.energy import PowerReport, dynamic_power
 from repro.traffic import (
@@ -71,13 +72,15 @@ def make_scheme(mechanism: str, n_nodes: int,
 def encode_cache_totals() -> Tuple[int, int]:
     """Aggregate (hits, misses) across the shared encode-path caches.
 
-    Covers the AVCL evaluate cache and both FPC pattern-match caches; the
-    harness reports per-run deltas of these process-wide totals.
+    Covers the AVCL evaluate cache, both FPC pattern-match caches and the
+    fused FP-VAXX word memos; the harness reports per-run deltas of these
+    process-wide totals.
     """
     exact, approx = match_cache_info()
     avcl = evaluate_cache_info()
-    return (exact.hits + approx.hits + avcl.hits,
-            exact.misses + approx.misses + avcl.misses)
+    word_hits, word_misses = word_memo_totals()
+    return (exact.hits + approx.hits + avcl.hits + word_hits,
+            exact.misses + approx.misses + avcl.misses + word_misses)
 
 
 #: RunResult fields that describe the *measurement process* rather than the

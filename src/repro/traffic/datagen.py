@@ -23,11 +23,13 @@ A :class:`ValueModel` produces cache blocks from a mixture distribution:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List
 
 from repro.core.block import CacheBlock, DataType
-from repro.util.bitops import to_unsigned
+from repro.util.bitops import WORD_MASK
 from repro.util.rng import DeterministicRng
 
 
@@ -72,7 +74,13 @@ class ValueModel:
 
 
 class BlockGenerator:
-    """Stateful generator of cache blocks following a :class:`ValueModel`."""
+    """Stateful generator of cache blocks following a :class:`ValueModel`.
+
+    Draw-sequence contract: every block consumes the RNG in the same
+    order, draw for draw, as the straightforward per-word formulation
+    (``bernoulli`` per decision, ``random.choices`` per Zipf pool draw);
+    the loops below only inline those draws.
+    """
 
     def __init__(self, model: ValueModel, rng: DeterministicRng):
         self.model = model
@@ -80,8 +88,13 @@ class BlockGenerator:
         self._blocks_emitted = 0
         self._pool: List[float] = [self._base_value()
                                    for _ in range(model.pool_size)]
-        self._pool_weights = [1.0 / (rank + 1) ** model.pool_zipf
-                              for rank in range(model.pool_size)]
+        weights = [1.0 / (rank + 1) ** model.pool_zipf
+                   for rank in range(model.pool_size)]
+        # What ``random.choices(pool, weights)`` computes on every call:
+        # the cumulative weights, their float total and the bisect bound.
+        self._pool_cum = list(accumulate(weights))
+        self._pool_total = self._pool_cum[-1] + 0.0
+        self._pool_hi = len(weights) - 1
 
     def _base_value(self) -> float:
         """A fresh working-set base value."""
@@ -103,30 +116,49 @@ class BlockGenerator:
                                       len(self._pool) - 1)
             self._pool[index] = self._base_value()
 
-    def _word(self) -> float:
-        """Draw one value from the mixture (as a float; encoded later)."""
+    def _pool_base(self) -> float:
+        """One Zipf-weighted pool draw, bit-identical to
+        ``random.choices(pool, weights)[0]`` (one ``random()`` draw)."""
+        return self._pool[bisect_right(
+            self._pool_cum, self._rng.uniform() * self._pool_total, 0,
+            self._pool_hi)]
+
+    def _mixture_values(self, words: int) -> List[float]:
+        """``words`` draws from the mixture (as floats; encoded later)."""
         model = self.model
-        r = self._rng.random()
-        if r < model.p_zero:
-            return 0.0
-        r -= model.p_zero
-        if r < model.p_small:
-            return float(self._rng.randint(-128, 127))
-        r -= model.p_small
-        if r < model.p_pool:
-            base = self._rng.choices(self._pool, self._pool_weights, 1)[0]
-            if self._rng.bernoulli(model.exact_repeat):
-                return base
-            jitter = 1.0 + self._rng.gauss(0.0, model.cluster_noise)
-            return base * jitter
-        # Incompressible tail: full-entropy pattern.
-        return float(self._rng.randbits(31) - (1 << 30))
+        rng = self._rng
+        uniform = rng.uniform
+        p_zero, p_small, p_pool = model.p_zero, model.p_small, model.p_pool
+        exact_repeat, noise = model.exact_repeat, model.cluster_noise
+        values: List[float] = []
+        append = values.append
+        for _ in range(words):
+            r = uniform()
+            if r < p_zero:
+                append(0.0)
+                continue
+            r -= p_zero
+            if r < p_small:
+                append(float(rng.randint(-128, 127)))
+                continue
+            r -= p_small
+            if r < p_pool:
+                base = self._pool_base()
+                if uniform() < exact_repeat:
+                    append(base)
+                else:
+                    append(base * (1.0 + rng.gauss(0.0, noise)))
+                continue
+            # Incompressible tail: full-entropy pattern.
+            append(float(rng.randbits(31) - (1 << 30)))
+        return values
 
     def _coherent_values(self, words: int) -> List[float]:
         """An array-like block: one base value plus small deltas."""
-        base = self._rng.choices(self._pool, self._pool_weights, 1)[0]
+        base = self._pool_base()
         spread = abs(base) * self.model.coherent_spread + 1.0
-        return [base + self._rng.gauss(0.0, spread) for _ in range(words)]
+        gauss = self._rng.gauss
+        return [base + gauss(0.0, spread) for _ in range(words)]
 
     def next_block(self, words: int = 16,
                    approximable: bool = True) -> CacheBlock:
@@ -134,13 +166,11 @@ class BlockGenerator:
         self._blocks_emitted += 1
         if self._blocks_emitted % self.model.phase_length == 0:
             self._mutate_pool()
-        if self._rng.bernoulli(self.model.p_block_coherent):
+        if self._rng.uniform() < self.model.p_block_coherent:
             values = self._coherent_values(words)
         else:
-            values = [self._word() for _ in range(words)]
+            values = self._mixture_values(words)
         if self.model.dtype is DataType.FLOAT:
             return CacheBlock.from_floats(values, approximable=approximable)
-        return CacheBlock.from_ints(
-            [int(v) & 0xFFFFFFFF if v >= 0 else to_unsigned(int(v))
-             for v in values],
-            approximable=approximable)
+        return CacheBlock(tuple(int(v) & WORD_MASK for v in values),
+                          dtype=DataType.INT, approximable=approximable)

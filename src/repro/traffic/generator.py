@@ -82,30 +82,39 @@ class SyntheticTraffic:
                 f"injection rate {injection_rate} exceeds one packet per "
                 f"node per cycle (packet rate {self.packet_rate:.2f})")
 
-    def _make_request(self, src: int, dst: int) -> TrafficRequest:
-        if self._rng.bernoulli(self.data_ratio):
-            approximable = self._rng.bernoulli(self.approx_packet_ratio)
-            block = self._blocks.next_block(
-                words=self.config.words_per_block, approximable=approximable)
-            return TrafficRequest(src, dst, PacketKind.DATA, block)
-        return TrafficRequest(src, dst, PacketKind.CONTROL)
-
     def _draw_cycle(self, cycle: int) -> List[TrafficRequest]:
-        """Draw cycle's injection decisions (the one place RNG is consumed)."""
+        """Draw cycle's injection decisions (the one place RNG is consumed).
+
+        Per node, in node order: the injection Bernoulli, the pattern's
+        destination draw, the data/control Bernoulli and, for data, the
+        approximable Bernoulli plus the block's value draws.  The
+        Bernoulli draws are inlined through ``DeterministicRng.uniform``.
+        """
         if self.duration is not None and cycle >= self.duration:
             return []
-        requests = []
+        requests: List[TrafficRequest] = []
         rng = self._rng
+        uniform = rng.uniform
         packet_rate = self.packet_rate
+        data_ratio = self.data_ratio
+        approx_ratio = self.approx_packet_ratio
         pattern = self.pattern
         topology = self.topology
+        next_block = self._blocks.next_block
+        words = self.config.words_per_block
         for src in range(topology.n_nodes):
-            if not rng.bernoulli(packet_rate):
+            if not uniform() < packet_rate:
                 continue
             dst = pattern(src, topology, rng)
             if dst is None or dst == src:
                 continue
-            requests.append(self._make_request(src, dst))
+            if uniform() < data_ratio:
+                block = next_block(words=words,
+                                   approximable=uniform() < approx_ratio)
+                requests.append(TrafficRequest(src, dst, PacketKind.DATA,
+                                               block))
+            else:
+                requests.append(TrafficRequest(src, dst, PacketKind.CONTROL))
         return requests
 
     def generate(self, cycle: int) -> List[TrafficRequest]:
@@ -185,41 +194,51 @@ class BenchmarkTraffic:
                     partners.add(cand)
             self._partners.append(sorted(partners))
 
-    def _node_rate(self, node: int) -> float:
-        burst = self.profile.burst
-        rng = self._rng
-        if self._burst_on[node]:
-            if rng.bernoulli(burst.p_off):
-                self._burst_on[node] = False
-        else:
-            if rng.bernoulli(burst.p_on):
-                self._burst_on[node] = True
-        multiplier = (burst.on_multiplier if self._burst_on[node]
-                      else burst.off_multiplier)
-        return min(self.profile.packet_rate * multiplier * self.rate_scale,
-                   1.0)
-
     def _draw_cycle(self, cycle: int) -> List[TrafficRequest]:
-        """Draw cycle's burst transitions + injection decisions."""
+        """Draw cycle's burst transitions + injection decisions.
+
+        Per node, in node order: the burst on/off Bernoulli, the
+        injection Bernoulli at the burst state's rate, the partner
+        Bernoulli and destination draw, the data/control Bernoulli and,
+        for data, the approximable Bernoulli plus the block's value
+        draws.  The Bernoulli draws are inlined through
+        ``DeterministicRng.uniform``.
+        """
         if self.duration is not None and cycle >= self.duration:
             return []
-        requests = []
+        requests: List[TrafficRequest] = []
         rng = self._rng
+        uniform = rng.uniform
+        burst = self.profile.burst
+        p_on, p_off = burst.p_on, burst.p_off
+        rate = self.profile.packet_rate
+        on_rate = min(rate * burst.on_multiplier * self.rate_scale, 1.0)
+        off_rate = min(rate * burst.off_multiplier * self.rate_scale, 1.0)
+        burst_on = self._burst_on
+        partners = self._partners
+        affinity = self.PARTNER_AFFINITY
+        data_ratio = self.profile.data_ratio
+        approx_ratio = self.approx_packet_ratio
+        next_block = self._blocks.next_block
+        words = self.config.words_per_block
         n = self.topology.n_nodes
         for src in range(n):
-            if not rng.bernoulli(self._node_rate(src)):
+            if burst_on[src]:
+                if uniform() < p_off:
+                    burst_on[src] = False
+            elif uniform() < p_on:
+                burst_on[src] = True
+            if not uniform() < (on_rate if burst_on[src] else off_rate):
                 continue
-            if rng.bernoulli(self.PARTNER_AFFINITY):
-                dst = rng.choice(self._partners[src])
+            if uniform() < affinity:
+                dst = rng.choice(partners[src])
             else:
                 dst = rng.randint(0, n - 2)
                 if dst >= src:
                     dst += 1
-            if rng.bernoulli(self.profile.data_ratio):
-                approximable = rng.bernoulli(self.approx_packet_ratio)
-                block = self._blocks.next_block(
-                    words=self.config.words_per_block,
-                    approximable=approximable)
+            if uniform() < data_ratio:
+                block = next_block(words=words,
+                                   approximable=uniform() < approx_ratio)
                 requests.append(TrafficRequest(src, dst, PacketKind.DATA,
                                                block))
             else:

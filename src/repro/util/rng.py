@@ -9,7 +9,7 @@ rows.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, TypeVar
+from typing import Callable, List, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -39,6 +39,16 @@ class DeterministicRng:
         """Uniform float in [0, 1)."""
         return self._rng.random()
 
+    @property
+    def uniform(self) -> Callable[[], float]:
+        """The underlying generator's bound ``random`` method.
+
+        Hot loops bind it once and inline their Bernoulli draws as
+        ``uniform() < p``: that consumes exactly the draw
+        :meth:`bernoulli` does, without a wrapper call per draw.
+        """
+        return self._rng.random
+
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high] inclusive."""
         return self._rng.randint(low, high)
@@ -50,11 +60,6 @@ class DeterministicRng:
     def choice(self, items: Sequence[T]) -> T:
         """Uniformly pick one element of ``items``."""
         return self._rng.choice(items)
-
-    def choices(self, items: Sequence[T], weights: Optional[Sequence[float]],
-                k: int) -> List[T]:
-        """Pick ``k`` elements with replacement, optionally weighted."""
-        return self._rng.choices(items, weights=weights, k=k)
 
     def gauss(self, mu: float, sigma: float) -> float:
         """Normal variate."""

@@ -325,6 +325,11 @@ class NocSanitizer:
                         f"packet {packet.pid} word {index}: value changed "
                         f"({enc.original:#010x} -> {word:#010x}) without "
                         f"being marked approximated")
+                if enc.error:
+                    self._fail(
+                        "error-bound",
+                        f"packet {packet.pid} word {index}: exact word "
+                        f"carries relative error {enc.error!r}")
                 continue
             self._check_approximated_word(packet, index, enc, dtype, budget)
 
@@ -359,8 +364,16 @@ class NocSanitizer:
                 f"{enc.original:#010x} -> {enc.decoded:#010x} exceeds the "
                 f"AVCL don't-care mask at threshold "
                 f"{avcl.error_threshold_pct}%")
+        # Quality accounting sums the error the codec carried in the
+        # encoding; it must be the substitution's actual relative error.
+        err = relative_word_error(enc.original, enc.decoded, dtype)
+        if enc.error != err:
+            self._fail(
+                "error-bound",
+                f"packet {packet.pid} word {index}: encoding carries "
+                f"relative error {enc.error!r} but the substitution "
+                f"{enc.original:#010x} -> {enc.decoded:#010x} has {err!r}")
         if isinstance(budget, WindowErrorBudget):
-            err = relative_word_error(enc.original, enc.decoded, dtype)
             allowance = budget.threshold * budget.window + 1e-12
             if err > allowance:
                 self._fail(

@@ -158,3 +158,69 @@ class TestSaltCollision:
                 rng = DeterministicRng(seed)
                 return [rng.fork(7) for _ in range(4)]
             """) == []
+
+
+class TestDrawAccessor:
+    def test_bound_draw_accessor_on_fault_stream_flags(self):
+        # A hot loop binds the stream's raw draw function once and calls
+        # it bare; the accessor load is the audited draw site.
+        findings = run_project("rng-stream-isolation", {
+            FAULTS: """\
+                from repro.util.rng import DeterministicRng
+
+                class Injector:
+                    def __init__(self, seed):
+                        self.rng = DeterministicRng(seed)
+
+                    def build_generator(self):
+                        return Generator(self.rng.fork(2))
+                """,
+            TRAFFIC: """\
+                class Generator:
+                    def __init__(self, rng):
+                        self.rng = rng
+
+                    def draw(self, n):
+                        uniform = self.rng.uniform
+                        return [uniform() < 0.5 for _ in range(n)]
+                """,
+        })
+        assert len(findings) == 1
+        assert findings[0].path == TRAFFIC
+        assert "(uniform)" in findings[0].message
+
+    def test_called_accessor_is_one_draw_site(self):
+        findings = run_project("rng-stream-isolation", {
+            FAULTS: """\
+                from repro.util.rng import DeterministicRng
+
+                class Injector:
+                    def __init__(self, seed):
+                        self.rng = DeterministicRng(seed)
+
+                    def build_generator(self):
+                        return Generator(self.rng.fork(2))
+                """,
+            TRAFFIC: """\
+                class Generator:
+                    def __init__(self, rng):
+                        self.rng = rng
+
+                    def draw(self):
+                        return self.rng.uniform() < 0.5
+                """,
+        })
+        assert len(findings) == 1
+
+    def test_workload_accessor_on_own_stream_passes(self):
+        assert run_rule("rng-stream-isolation", TRAFFIC, """\
+            from repro.util.rng import DeterministicRng
+
+            class Generator:
+                def __init__(self, seed):
+                    self.rng = DeterministicRng(seed).fork(1)
+
+                def draw(self):
+                    uniform = self.rng.uniform
+                    return uniform() < 0.5
+            """) == []

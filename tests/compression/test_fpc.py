@@ -1,7 +1,7 @@
 """Tests for the frequent pattern table (Figure 5) and masked matching."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.compression import fpc
@@ -141,3 +141,51 @@ class TestHalfwordClasses:
         # but 0x7F lies below the block, so approx must fail. A word whose
         # block *contains* 0x7F succeeds:
         assert cls.approx_match(0x0001007F, 0b11) == 0x0001007F
+
+
+def full_scan_approx(word, mask):
+    """Figure 6 by definition: every row in table order."""
+    for cls in fpc.COMPRESSIBLE_CLASSES:
+        candidate = cls.approx_match(word, mask)
+        if candidate is not None:
+            return cls, candidate
+    return fpc.UNCOMPRESSED_CLASS, word & 0xFFFFFFFF
+
+
+def full_scan_exact(word):
+    for cls in fpc.COMPRESSIBLE_CLASSES:
+        if cls.exact_match(word):
+            return cls, word & 0xFFFFFFFF
+    return fpc.UNCOMPRESSED_CLASS, word & 0xFFFFFFFF
+
+
+#: Words on either side of the halfword sign-extended range's edges.
+EDGES = (0x7FFF, 0x8000, 0xFFFF7FFF, 0xFFFF8000, 0x10000, 0xFFFF0000)
+
+
+class TestNarrowRowSkip:
+    """Skipping the narrow rows outside the halfword sign-extended range
+    must not change which row wins."""
+
+    @given(WORDS, MASKS)
+    @example(0x8000, 0)
+    @example(0x8000, 1)
+    @example(0x10000, 0xFFFF)
+    @example(0xFFFF7FFF, 0)
+    @example(0xFFFF7FFF, 1)
+    @example(0xFFFF0000, 0x7FFF)
+    def test_classify_approx_is_the_full_scan(self, word, mask):
+        assert fpc.classify_approx(word, mask) == full_scan_approx(word,
+                                                                   mask)
+
+    @given(WORDS)
+    def test_classify_exact_is_the_full_scan(self, word):
+        assert fpc.classify_exact(word) == full_scan_exact(word)
+
+    @pytest.mark.parametrize("word", EDGES)
+    @pytest.mark.parametrize("k", range(0, 18))
+    def test_edges(self, word, k):
+        mask = (1 << k) - 1
+        assert fpc.classify_approx(word, mask) == full_scan_approx(word,
+                                                                   mask)
+        assert fpc.classify_exact(word) == full_scan_exact(word)

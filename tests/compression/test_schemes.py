@@ -10,6 +10,7 @@ from repro.compression.schemes import (
     BaselineScheme,
     FpCompScheme,
     assemble_fpc_words,
+    fpc_word,
 )
 from repro.core.block import CacheBlock
 
@@ -54,8 +55,7 @@ class TestBaseline:
 
 class TestZeroRunAssembly:
     def _zero_match(self):
-        cls = fpc.COMPRESSIBLE_CLASSES[0]
-        return (0, cls, 0, False)
+        return fpc_word(0, fpc.COMPRESSIBLE_CLASSES[0], 0)
 
     def test_single_zero_costs_prefix_plus_runlength(self):
         words, bits = assemble_fpc_words([self._zero_match()])
@@ -72,7 +72,7 @@ class TestZeroRunAssembly:
 
     def test_interrupted_run_restarts(self):
         cls4, cand = fpc.match_exact(5)
-        matches = [self._zero_match(), (5, cls4, cand, False),
+        matches = [self._zero_match(), fpc_word(5, cls4, cand),
                    self._zero_match()]
         _, bits = assemble_fpc_words(matches)
         assert bits == 6 + (3 + 4) + 6

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.block import (
-    BlockErrorReport,
-    CacheBlock,
-    DataType,
-    relative_word_error,
-)
+from repro.core.block import CacheBlock, DataType, relative_word_error
 from repro.util.bitops import float_to_bits, to_unsigned
 
 
@@ -20,6 +15,11 @@ class TestCacheBlock:
         block = CacheBlock.from_ints(values)
         assert block.as_ints() == values
         assert block.dtype is DataType.INT
+
+    @given(st.lists(st.floats(width=32), min_size=1, max_size=16))
+    def test_from_floats_packs_like_float_to_bits(self, values):
+        block = CacheBlock.from_floats(values)
+        assert block.words == tuple(float_to_bits(v) for v in values)
 
     def test_from_floats_roundtrip(self):
         values = [0.0, 1.5, -2.25]
@@ -107,15 +107,3 @@ class TestRelativeWordError:
         pattern = to_unsigned(value)
         assert relative_word_error(pattern, pattern, DataType.INT) == 0.0
 
-
-class TestBlockErrorReport:
-    def test_empty_report_is_perfect(self):
-        report = BlockErrorReport()
-        assert report.mean_error == 0.0
-        assert report.quality == 1.0
-
-    def test_quality_computation(self):
-        report = BlockErrorReport(relative_errors=[0.0, 0.1, 0.2])
-        assert report.mean_error == pytest.approx(0.1)
-        assert report.quality == pytest.approx(0.9)
-        assert report.total_words == 3

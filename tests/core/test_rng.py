@@ -58,12 +58,17 @@ class TestDistributions:
         for _ in range(50):
             assert 0 <= rng.randbits(32) < 2**32
 
-    def test_choice_and_choices(self):
+    def test_choice(self):
         rng = DeterministicRng(5)
         items = ["a", "b", "c"]
         assert rng.choice(items) in items
-        picked = rng.choices(items, [1.0, 0.0, 0.0], 10)
-        assert picked == ["a"] * 10
+
+    def test_uniform_draw_is_the_bernoulli_draw(self):
+        inlined, wrapped = DeterministicRng(9), DeterministicRng(9)
+        uniform = inlined.uniform
+        for p in (0.1, 0.5, 0.9) * 20:
+            assert (uniform() < p) == wrapped.bernoulli(p)
+        assert inlined.random() == wrapped.random()
 
     def test_shuffle_permutes(self):
         rng = DeterministicRng(6)

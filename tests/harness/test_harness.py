@@ -27,6 +27,9 @@ from repro.harness import (
     saturation_throughput,
     table1,
 )
+from repro.compression.fpc import match_cache_info
+from repro.core.avcl import evaluate_cache_info
+from repro.core.fp_vaxx import word_memo_totals
 from repro.harness.report import format_series, format_table
 from repro.noc import NocConfig
 
@@ -55,6 +58,29 @@ class TestMakeScheme:
     def test_threshold_threaded_through(self):
         assert make_scheme("FP-VAXX", 8, 20).error_threshold_pct == 20
         assert make_scheme("DI-VAXX", 8, 5).error_threshold_pct == 5
+
+
+def _cache_counts():
+    infos = (*match_cache_info(), evaluate_cache_info())
+    hits, misses = word_memo_totals()
+    return (sum(i.hits for i in infos), sum(i.misses for i in infos),
+            hits, misses)
+
+
+class TestEncodeCacheCounters:
+    def test_fp_vaxx_run_counts_the_word_memo(self):
+        """FP-VAXX encodes through the fused word memo; its hits must
+        reach ``RunResult`` so the reported hit ratio is not the other
+        caches' share alone."""
+        trace = benchmark_trace(SMALL, "blackscholes", 600)
+        before = _cache_counts()
+        result = run_trace(SMALL, "FP-VAXX", trace, warmup=300, measure=300)
+        after = _cache_counts()
+        other_hits, other_misses, memo_hits, memo_misses = (
+            a - b for a, b in zip(after, before))
+        assert memo_hits > 0
+        assert result.encode_cache_hits == other_hits + memo_hits
+        assert result.encode_cache_misses == other_misses + memo_misses
 
 
 class TestTraceCache:

@@ -13,7 +13,7 @@ import pytest
 
 from repro.compression import BaselineScheme
 from repro.core import CacheBlock, FpVaxxScheme
-from repro.core.block import DataType
+from repro.core.block import DataType, relative_word_error
 from repro.core.error_control import WindowErrorBudget
 from repro.compression.base import EncodedBlock, WordEncoding
 from repro.harness.experiment import benchmark_trace, run_trace
@@ -240,9 +240,15 @@ def oracle_packet(word_encodings, dtype=DataType.INT):
                   size_flits=2, encoded=encoded)
 
 
-def word(original, decoded, approximated):
+def word(original, decoded, approximated, error=None):
+    """An encoded word; an approximated one carries its true relative
+    error unless ``error`` overrides it."""
+    if error is None:
+        error = (relative_word_error(original, decoded, DataType.INT)
+                 if approximated else 0.0)
     return WordEncoding(original=original, decoded=decoded, bits=32,
-                        compressed=True, approximated=approximated)
+                        compressed=True, approximated=approximated,
+                        error=error)
 
 
 class TestErrorBoundOracle:
@@ -274,6 +280,19 @@ class TestErrorBoundOracle:
         with pytest.raises(SanitizerError,
                            match="without being marked approximated"):
             sanitizer._check_delivered_block(packet, CacheBlock((7,)))
+
+    def test_misreported_error_is_caught(self):
+        sanitizer = sanitized_network(FpVaxxScheme)._sanitizer
+        packet = oracle_packet([word(100, 108, approximated=True,
+                                     error=0.0)])
+        with pytest.raises(SanitizerError, match="carries relative error"):
+            sanitizer._check_delivered_block(packet, CacheBlock((108,)))
+
+    def test_exact_word_carrying_error_is_caught(self):
+        sanitizer = sanitized_network(FpVaxxScheme)._sanitizer
+        packet = oracle_packet([word(5, 5, approximated=False, error=0.1)])
+        with pytest.raises(SanitizerError, match="exact word carries"):
+            sanitizer._check_delivered_block(packet, CacheBlock((5,)))
 
     def test_delivered_word_must_match_promise(self):
         sanitizer = sanitized_network(FpVaxxScheme)._sanitizer
