@@ -2,7 +2,9 @@
 
 Times, over fixed deterministic workloads:
 
-* ``fpc.match_approx``   — pattern matching on (word, mask) pairs;
+* FP-VAXX memo miss     — the body of the fused per-word memo
+  (``fp_vaxx._match_word``: AVCL mask, masked pattern match, relative
+  error) over words the memo has not seen;
 * ``Avcl.evaluate``      — don't-care mask computation per word;
 * ``Network.step``       — full network cycles replaying a benchmark trace;
 * event-horizon fast path — the same network skipping quiescent windows
@@ -46,9 +48,9 @@ import time
 import tracemalloc
 from dataclasses import replace
 
-from repro.compression.fpc import clear_match_caches, match_approx
 from repro.core.avcl import Avcl, clear_evaluate_cache
 from repro.core.block import DataType
+from repro.core.fp_vaxx import _match_word
 from repro.faults import FaultConfig
 from repro.harness.experiment import benchmark_trace, make_scheme
 from repro.noc import Network, NocConfig
@@ -69,6 +71,8 @@ from repro.traffic import (
 UNIQUE_VALUES = 4096
 #: Evaluations per measured pass (mostly warm, as in a real run).
 PASS_OPS = 100_000
+#: Memo-miss bodies per measured pass (each one is a full cold match).
+MISS_OPS = 20_000
 NETWORK_CYCLES = 1500
 #: Low-load point: uniform-random traffic this sparse leaves ~99% of
 #: cycles quiescent, so the event-horizon skip dominates the run.  (At
@@ -118,15 +122,18 @@ def _best(fn) -> float:
     return min(fn() for _ in range(REPEATS))
 
 
-def bench_match_approx() -> float:
+def bench_fpvaxx_memo_miss() -> float:
+    """The FP-VAXX word memo's miss path: every call runs the uncached
+    fused body, over integer and float words at the default 10% AVCL."""
     words = _words(UNIQUE_VALUES)
-    masks = [0x000000FF, 0x0000000F, 0x00000000, 0x000001FF]
+    shift = Avcl(error_threshold_pct=10.0).shift
+    dtypes = [DataType.INT, DataType.FLOAT]
 
     def one_pass() -> float:
-        clear_match_caches()
         start = time.perf_counter()
-        for i in range(PASS_OPS):
-            match_approx(words[i % UNIQUE_VALUES], masks[i & 3])
+        for i in range(MISS_OPS):
+            _match_word(words[i % UNIQUE_VALUES], dtypes[i & 1], shift,
+                        "paper")
         return time.perf_counter() - start
 
     return _best(one_pass)
@@ -500,7 +507,7 @@ def bench_trace_pipeline() -> dict:
 
 def run_all() -> dict:
     results = {
-        "match_approx_s": bench_match_approx(),
+        "fpvaxx_memo_miss_s": bench_fpvaxx_memo_miss(),
         "avcl_evaluate_s": bench_avcl_evaluate(),
         "network_step_s": bench_network_step(),
         # NoCSan overhead, reported for visibility but exempt from --check:

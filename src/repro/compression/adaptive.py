@@ -29,7 +29,6 @@ from repro.compression.base import (
     EncodedBlock,
     NodeCodec,
     Notification,
-    WordEncoding,
 )
 from repro.core.block import CacheBlock
 
@@ -84,9 +83,7 @@ class AdaptiveNode(NodeCodec):
     # ------------------------------------------------------------- codec
 
     def _raw_encode(self, block: CacheBlock) -> EncodedBlock:
-        words = [WordEncoding(w, w, 32, False, False) for w in block.words]
-        encoded = self._finish_encode(words, block,
-                                      size_bits=block.size_bits)
+        encoded = self._encode_raw(block)
         encoded.compression_cycles = 0
         encoded.decompression_cycles = 0
         return encoded
@@ -105,8 +102,7 @@ class AdaptiveNode(NodeCodec):
         return self._raw_encode(block)
 
     def decode(self, encoded: EncodedBlock, src: int) -> DecodeResult:
-        if encoded.compression_cycles == 0 and all(
-                not w.compressed for w in encoded.words):
+        if encoded.compression_cycles == 0 and encoded.raw is not None:
             # Raw block: bypass the inner decoder (and its learning — the
             # sender's codec was off, there is nothing to learn from).
             return DecodeResult(block=CacheBlock(

@@ -86,24 +86,55 @@ class WordEncoding(NamedTuple):
         return self.decoded == self.original
 
 
-@dataclass
 class EncodedBlock:
-    """Network representation (NR) of one cache block."""
+    """Network representation (NR) of one cache block.
 
-    words: List[WordEncoding]
-    dtype: DataType
-    approximable: bool
-    size_bits: int
-    #: Optional per-block codec latency overrides (an adaptive controller
-    #: that bypasses compression also skips its latency).  ``None`` means
-    #: "use the scheme's constants".
-    compression_cycles: Optional[int] = None
-    decompression_cycles: Optional[int] = None
+    Two forms.  A *coded* block carries one :class:`WordEncoding` per word.
+    A *raw* block (Baseline and every raw fallback, built by
+    :meth:`NodeCodec._encode_raw`) carries only the block's own words in
+    :attr:`raw`: every word travels verbatim, so there is nothing per word
+    to record.  Readers that need the recovered values use
+    :meth:`decoded_words`, which is the block's words for a raw block;
+    :attr:`words` builds the verbatim per-word encodings of a raw block on
+    demand (NoCSan's per-word oracle, reports, tests).
+    """
+
+    __slots__ = ("_words", "raw", "dtype", "approximable", "size_bits",
+                 "compression_cycles", "decompression_cycles")
+
+    def __init__(self, words: Optional[List[WordEncoding]] = None,
+                 dtype: DataType = DataType.INT, approximable: bool = False,
+                 size_bits: int = 0,
+                 compression_cycles: Optional[int] = None,
+                 decompression_cycles: Optional[int] = None,
+                 raw: Optional[Tuple[int, ...]] = None):
+        if (words is None) == (raw is None):
+            raise ValueError("an EncodedBlock carries either per-word "
+                             "encodings or raw words, not both")
+        self._words = words
+        #: The block's words when it ships raw, else None.
+        self.raw = raw
+        self.dtype = dtype
+        self.approximable = approximable
+        self.size_bits = size_bits
+        #: Optional per-block codec latency overrides (an adaptive
+        #: controller that bypasses compression also skips its latency).
+        #: ``None`` means "use the scheme's constants".
+        self.compression_cycles = compression_cycles
+        self.decompression_cycles = decompression_cycles
+
+    @property
+    def words(self) -> List[WordEncoding]:
+        """Per-word encodings (built verbatim for a raw block)."""
+        words = self._words
+        if words is None:
+            return [WordEncoding(w, w, 32, False, False) for w in self.raw]
+        return words
 
     @property
     def original_bits(self) -> int:
         """Uncompressed size of the block, in bits."""
-        return 32 * len(self.words)
+        return 32 * len(self.decoded_words())
 
     @property
     def size_bytes(self) -> int:
@@ -117,7 +148,10 @@ class EncodedBlock:
 
     def decoded_words(self) -> Tuple[int, ...]:
         """Word patterns the destination recovers."""
-        return tuple(w.decoded for w in self.words)
+        raw = self.raw
+        if raw is not None:
+            return raw
+        return tuple(w.decoded for w in self._words)
 
 
 @dataclass
@@ -185,11 +219,8 @@ class NodeCodec(abc.ABC):
         """
         flag = self.scheme.block_flag_bits
         size_bits += flag
-        raw_bits = block.size_bits + flag
-        if size_bits > raw_bits:
-            words = [WordEncoding(w.original, w.original, 32, False, False)
-                     for w in words]
-            size_bits = raw_bits
+        if size_bits > block.size_bits + flag:
+            return self._encode_raw(block)
         stats = self.scheme.stats
         stats.blocks_encoded += 1
         stats.input_bits += 32 * len(words)
@@ -201,6 +232,22 @@ class NodeCodec(abc.ABC):
                              encoded.count(True),
                              [w.error for w in words if w.error])
         return EncodedBlock(words=words, dtype=block.dtype,
+                            approximable=block.approximable,
+                            size_bits=size_bits)
+
+    def _encode_raw(self, block: CacheBlock) -> EncodedBlock:
+        """Ship ``block`` verbatim: count-only statistics and a raw
+        :class:`EncodedBlock` (no per-word encodings are built)."""
+        size_bits = block.size_bits + self.scheme.block_flag_bits
+        n_words = len(block.words)
+        stats = self.scheme.stats
+        stats.blocks_encoded += 1
+        stats.input_bits += 32 * n_words
+        stats.output_bits += size_bits
+        quality = self.scheme.quality
+        quality.record_block(block.approximable)
+        quality.record_words(n_words, 0, 0, ())
+        return EncodedBlock(raw=block.words, dtype=block.dtype,
                             approximable=block.approximable,
                             size_bits=size_bits)
 

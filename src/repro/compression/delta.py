@@ -76,10 +76,7 @@ class BdCompNode(NodeCodec):
     def encode(self, block: CacheBlock, dst: int) -> EncodedBlock:
         encoded = self._encode_exact(block)
         if encoded is None:
-            words = [WordEncoding(original=w, decoded=w, bits=32,
-                                  compressed=False, approximated=False)
-                     for w in block.words]
-            return self._finish_encode(words, block, 32 * len(block.words))
+            return self._encode_raw(block)
         words, size = encoded
         return self._finish_encode(words, block, size)
 
@@ -165,10 +162,7 @@ class BdVaxxNode(BdCompNode):
         else:
             best = exact or approx
         if best is None:
-            words = [WordEncoding(original=w, decoded=w, bits=32,
-                                  compressed=False, approximated=False)
-                     for w in block.words]
-            return self._finish_encode(words, block, 32 * len(block.words))
+            return self._encode_raw(block)
         words, size = best
         return self._finish_encode(words, block, size)
 

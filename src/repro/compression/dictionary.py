@@ -77,7 +77,8 @@ class PatternDetector:
     """Decoder-side recurrence detector feeding PMT allocation.
 
     A small table of (pattern -> occurrence count); when full, the least
-    frequent candidate is evicted to admit a new pattern.
+    frequent candidate is evicted to admit a new pattern (the oldest one
+    among equally frequent candidates).
     """
 
     def __init__(self, capacity: int = DETECTOR_CAPACITY,
@@ -92,14 +93,20 @@ class PatternDetector:
         """Record one occurrence; True when the pattern crosses the
         detection threshold (and its counter resets)."""
         pattern &= WORD_MASK
-        count = self._counts.get(pattern, 0) + 1
+        counts = self._counts
+        count = counts.get(pattern, 0) + 1
         if count >= self._threshold:
-            self._counts.pop(pattern, None)
+            counts.pop(pattern, None)
             return True
-        if pattern not in self._counts and len(self._counts) >= self._capacity:
-            victim = min(self._counts, key=self._counts.get)
-            del self._counts[victim]
-        self._counts[pattern] = count
+        if count == 1 and len(counts) >= self._capacity:
+            if self._threshold == 2:
+                # Every stored count is 1 (a second sighting detects), so
+                # the least frequent, oldest candidate is the first key.
+                victim = next(iter(counts))
+            else:
+                victim = min(counts, key=counts.get)
+            del counts[victim]
+        counts[pattern] = count
         return False
 
 
@@ -116,12 +123,9 @@ class DictionaryDecoder:
         self.entries: List[Optional[DecoderEntry]] = [None] * n_entries
         self._detector = PatternDetector(threshold=detect_threshold)
         self._observations = 0
-
-    def _find(self, pattern: int) -> Optional[int]:
-        for idx, entry in enumerate(self.entries):
-            if entry is not None and entry.pattern == pattern:
-                return idx
-        return None
+        #: pattern -> PMT slot, kept in step with every install.  Patterns
+        #: are unique in the PMT (one is installed only when absent).
+        self._slots: Dict[int, int] = {}
 
     def _victim(self) -> Optional[int]:
         """Replaceable slot: empty, or LFU whose decayed frequency is cold.
@@ -141,10 +145,8 @@ class DictionaryDecoder:
         return None
 
     def _decay(self) -> None:
-        """Periodically halve frequencies so stale entries become cold."""
-        self._observations += 1
-        if self._observations % DECAY_PERIOD:
-            return
+        """Halve frequencies so stale entries become cold (once every
+        ``DECAY_PERIOD`` observations)."""
         for entry in self.entries:
             if entry is not None:
                 entry.freq >>= 1
@@ -155,17 +157,41 @@ class DictionaryDecoder:
         if entry is not None and entry.freq < FREQ_SATURATION:
             entry.freq += 1
 
-    def observe_uncompressed(self, pattern: int, src: int,
-                             dtype: DataType = DataType.INT
-                             ) -> List[Notification]:
+    def observe_block(self, encoded: EncodedBlock,
+                      src: int) -> List[Notification]:
+        """Decoder-side learning over one block from ``src``: compressed
+        words refresh their entry, verbatim words run detection.  Returns
+        the protocol notifications it triggered."""
+        notifications: List[Notification] = []
+        dtype = encoded.dtype
+        observe = self.observe_uncompressed
+        if encoded.raw is not None:
+            for word in encoded.raw:
+                observe(word, src, dtype, notifications)
+            return notifications
+        for word in encoded.words:
+            if word.compressed:
+                self.note_compressed_use(word.code)
+            else:
+                observe(word.decoded, src, dtype, notifications)
+        return notifications
+
+    def observe_uncompressed(
+            self, pattern: int, src: int, dtype: DataType = DataType.INT,
+            notifications: Optional[List[Notification]] = None
+    ) -> List[Notification]:
         """Run detection on a verbatim word from ``src``.
 
-        Returns the protocol notifications the observation triggered.
+        Appends the protocol notifications the observation triggered to
+        ``notifications`` (a new list by default) and returns that list.
         """
+        if notifications is None:
+            notifications = []
         pattern &= WORD_MASK
-        self._decay()
-        notifications: List[Notification] = []
-        existing = self._find(pattern)
+        self._observations += 1
+        if not self._observations % DECAY_PERIOD:
+            self._decay()
+        existing = self._slots.get(pattern)
         if existing is not None:
             entry = self.entries[existing]
             if entry.freq < FREQ_SATURATION:
@@ -183,12 +209,14 @@ class DictionaryDecoder:
             return notifications  # every entry is still hot: admission denied
         victim = self.entries[victim_idx]
         if victim is not None:
+            del self._slots[victim.pattern]
             for encoder in sorted(victim.valid_for):
                 notifications.append(Notification(
                     kind=NotificationKind.INVALIDATE, src=self.node_id,
                     dst=encoder, pattern=victim.pattern, index=victim_idx))
         self.entries[victim_idx] = DecoderEntry(pattern=pattern, dtype=dtype,
                                                 valid_for={src})
+        self._slots[pattern] = victim_idx
         notifications.append(Notification(
             kind=NotificationKind.UPDATE, src=self.node_id, dst=src,
             pattern=pattern, index=victim_idx, dtype=dtype))
@@ -245,14 +273,7 @@ class DiCompNode(NodeCodec):
     # ------------------------------------------------------------- decode
 
     def decode(self, encoded: EncodedBlock, src: int) -> DecodeResult:
-        notifications: List[Notification] = []
-        for word in encoded.words:
-            if word.compressed:
-                self.decoder.note_compressed_use(word.code)
-            else:
-                notifications.extend(
-                    self.decoder.observe_uncompressed(word.decoded, src,
-                                                      encoded.dtype))
+        notifications = self.decoder.observe_block(encoded, src)
         self.scheme.stats.notifications += len(notifications)
         block = CacheBlock(encoded.decoded_words(), dtype=encoded.dtype,
                            approximable=encoded.approximable)

@@ -29,6 +29,7 @@ microarchitecture (Figure 6: don't-care bits excluded from the comparison).
 from __future__ import annotations
 
 import abc
+import functools
 from functools import lru_cache
 from typing import Optional, Tuple
 
@@ -241,7 +242,8 @@ def classify_approx(word: int, mask: int) -> Tuple[PatternClass, int]:
     Mirrors the paper's priority rule (§5.3.1): the *highest-priority*
     pattern wins even when a lower-priority row would have matched exactly,
     which can convert exact matches into approximate ones as the threshold
-    grows.  The uncached body of :func:`match_approx`.
+    grows.  FP-VAXX memoizes it per word through its fused word memo
+    (:mod:`repro.core.fp_vaxx`).
     """
     lo = word & ~mask & WORD_MASK
     rows = (WIDE_CLASSES if NARROW_POS_HI < lo and lo + mask < NARROW_NEG_LO
@@ -253,9 +255,9 @@ def classify_approx(word: int, mask: int) -> Tuple[PatternClass, int]:
     return UNCOMPRESSED_CLASS, word & WORD_MASK
 
 
-#: Entries kept in each shared match cache.  Pattern matching is a pure
-#: function of its arguments and the pattern table is static, so the caches
-#: are safely shared by every node codec in the process; real traffic
+#: Entries kept in the shared exact-match cache.  Pattern matching is a
+#: pure function of the word and the pattern table is static, so the cache
+#: is safely shared by every node codec in the process; real traffic
 #: re-presents the same word values constantly, making hit rates high.
 MATCH_CACHE_SIZE = 1 << 17
 
@@ -266,18 +268,11 @@ def match_exact(word: int) -> Tuple[PatternClass, int]:
     return classify_exact(word)
 
 
-@lru_cache(maxsize=MATCH_CACHE_SIZE)
-def match_approx(word: int, mask: int) -> Tuple[PatternClass, int]:
-    """Memoized :func:`classify_approx`."""
-    return classify_approx(word, mask)
-
-
-def match_cache_info() -> Tuple["lru_cache", "lru_cache"]:
-    """``(match_exact, match_approx)`` cache statistics."""
-    return match_exact.cache_info(), match_approx.cache_info()
+def match_cache_info() -> "functools._CacheInfo":
+    """``match_exact`` cache statistics."""
+    return match_exact.cache_info()
 
 
 def clear_match_caches() -> None:
     """Drop every memoized pattern match (microbenchmarks, tests)."""
     match_exact.cache_clear()
-    match_approx.cache_clear()

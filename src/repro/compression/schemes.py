@@ -29,8 +29,7 @@ class BaselineNode(NodeCodec):
     """Identity codec: every word travels verbatim."""
 
     def encode(self, block: CacheBlock, dst: int) -> EncodedBlock:
-        words = [WordEncoding(w, w, 32, False, False) for w in block.words]
-        return self._finish_encode(words, block, size_bits=32 * len(words))
+        return self._encode_raw(block)
 
     def decode(self, encoded: EncodedBlock, src: int) -> DecodeResult:
         return DecodeResult(block=CacheBlock(encoded.decoded_words(),

@@ -152,13 +152,7 @@ class DiVaxxNode(NodeCodec):
     # ------------------------------------------------------------- decode
 
     def decode(self, encoded: EncodedBlock, src: int) -> DecodeResult:
-        notifications: List[Notification] = []
-        for word in encoded.words:
-            if word.compressed:
-                self.decoder.note_compressed_use(word.code)
-            else:
-                notifications.extend(self.decoder.observe_uncompressed(
-                    word.decoded, src, encoded.dtype))
+        notifications = self.decoder.observe_block(encoded, src)
         self.scheme.stats.notifications += len(notifications)
         block = CacheBlock(encoded.decoded_words(), dtype=encoded.dtype,
                            approximable=encoded.approximable)

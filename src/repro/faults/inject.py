@@ -298,7 +298,7 @@ class FaultInjector:
     def _bitflip(self, flit: Flit) -> None:
         """One transient single-bit flip somewhere in the payload."""
         packet = flit.packet
-        words = packet.encoded.words
+        words = packet.encoded.decoded_words()
         index = self._bitflip_rng.randint(0, len(words) - 1)
         bit = self._bitflip_rng.randint(0, 31)
         _fault_state(packet).record_xor(index, 1 << bit)
@@ -310,10 +310,10 @@ class FaultInjector:
         lost (delivered as zero) and the buffer credit the sender spent
         never comes back — until the watchdog resynchronizes it."""
         packet = flit.packet
-        words = packet.encoded.words
+        words = packet.encoded.decoded_words()
         index = self._drop_rng.randint(0, len(words) - 1)
         state = _fault_state(packet)
-        state.record_xor(index, words[index].decoded)
+        state.record_xor(index, words[index])
         state.dropped_flits += 1
         self.stats.flits_dropped += 1
         key = (rid, out_port, out_vc)
@@ -328,10 +328,10 @@ class FaultInjector:
         if schedule is None or not schedule.active(now):
             return
         packet = flit.packet
-        words = packet.encoded.words
+        words = packet.encoded.decoded_words()
         index = schedule.hits % len(words)
         schedule.hits += 1
-        current = (words[index].decoded >> schedule.bit) & 1
+        current = (words[index] >> schedule.bit) & 1
         mask = (current ^ schedule.value) << schedule.bit
         if mask:
             _fault_state(packet).record_xor(index, mask)

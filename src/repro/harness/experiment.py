@@ -72,15 +72,15 @@ def make_scheme(mechanism: str, n_nodes: int,
 def encode_cache_totals() -> Tuple[int, int]:
     """Aggregate (hits, misses) across the shared encode-path caches.
 
-    Covers the AVCL evaluate cache, both FPC pattern-match caches and the
+    Covers the AVCL evaluate cache, the FPC exact-match cache and the
     fused FP-VAXX word memos; the harness reports per-run deltas of these
     process-wide totals.
     """
-    exact, approx = match_cache_info()
+    exact = match_cache_info()
     avcl = evaluate_cache_info()
     word_hits, word_misses = word_memo_totals()
-    return (exact.hits + approx.hits + avcl.hits + word_hits,
-            exact.misses + approx.misses + avcl.misses + word_misses)
+    return (exact.hits + avcl.hits + word_hits,
+            exact.misses + avcl.misses + word_misses)
 
 
 #: RunResult fields that describe the *measurement process* rather than the

@@ -14,7 +14,7 @@ behaviour is bit-identical to the object core — same ``simulation_outputs``,
 delivered word streams and stats — which the cross-core identity suite
 locks (see DESIGN.md §14 for the per-state-class argument).
 
-Three things make the batched pass faster than a straight transliteration:
+Four things make the batched pass faster than a straight transliteration:
 
 * **VA pending set** — the object core's VA stage rescans every occupied
   slot each cycle (sorting them with a lambda key) even though most heads
@@ -36,9 +36,12 @@ Three things make the batched pass faster than a straight transliteration:
   requests).
 * **Inline send/credit/stats** — with no sanitizer and no link-fault model
   armed, departures append straight to the network's pending lists and
-  stats are batched per call instead of incremented per flit.  With either
-  armed, the per-router closures are used unchanged, so NoCSan wrapping
-  and fault models compose exactly as with the object core.
+  stats are batched per call instead of incremented per flit.  With
+  either armed, the per-router closures are used unchanged, so NoCSan
+  wrapping and fault models compose exactly as with the object core.
+* **Batched arrivals** — :meth:`SoaCore.accept_arrivals` buffers packed
+  ``(g, flit)`` pairs, ``g`` the topology's flat input slot: each cycle's
+  link arrivals and, in a second call, the NI pass's injections.
 
 :class:`SoaRouter` is a thin per-router view over the core arrays exposing
 the object-core surface the rest of the repo relies on (``accept``,
@@ -68,11 +71,6 @@ from repro.noc.topology import MeshTopology, NUM_DIRECTIONS
 #: "No head flit buffered" sentinel in ``head_ready`` — far above any
 #: reachable simulated cycle, so min-reductions need no None handling.
 _INF = 1 << 60
-
-#: Packed send target of an unwired mesh-edge port.  Deterministic routing
-#: never produces such a hop; the sentinel decodes as an impossible
-#: ejection node so a routing bug fails loudly instead of corrupting state.
-_EDGE = -(1 << 50)
 
 #: Core backends selectable via ``NocConfig(core=...)``.
 CORE_BACKENDS = ("object", "soa", "numpy")
@@ -117,7 +115,8 @@ class SoaCore:
         R = config.n_routers
         P = topology.ports_per_router
         V = config.num_vcs
-        S = P * V
+        # Slot state is indexed by the topology's flat input-slot layout.
+        S = topology.slots_per_router
         self.n_routers = R
         self.n_ports = P
         self.num_vcs = V
@@ -183,11 +182,10 @@ class SoaCore:
         # the hot path allocates nothing per router visit.
         self._scratch_elig: List[int] = []
         self._scratch_parked: List[int] = []
-        # Packed send target per (rid, out port): a link is the downstream
-        # flat slot base ``dst_router*S + dst_port*V`` (>= 0, add the out
-        # VC to get the arrival slot), an ejection port is ``-node - 1``,
-        # an unwired mesh edge is _EDGE (never routed to).
-        send_targets: List[int] = []
+        # Packed send target per (rid, out port), flat over rid*P + port
+        # (MeshTopology.send_target).
+        send_targets = [topology.send_target(rid, port)
+                        for rid in range(R) for port in range(P)]
         # Credit destination per (rid, in port): (1, node) for local ports,
         # (2, upstream_base) for linked directions (flat index base of the
         # upstream router's out-credit row), (0, 0) at mesh edges.
@@ -195,14 +193,6 @@ class SoaCore:
         from repro.noc.network import OPPOSITE_PORT
         for rid in range(R):
             for port in range(P):
-                link = topology.link(rid, port)
-                if link is not None:
-                    send_targets.append(link.dst_router * S
-                                        + link.dst_port * V)
-                elif port >= NUM_DIRECTIONS:
-                    send_targets.append(-topology.node_at(rid, port) - 1)
-                else:
-                    send_targets.append(_EDGE)
                 if port >= NUM_DIRECTIONS:
                     credit_dests.append((1, topology.node_at(rid, port)))
                 else:
@@ -211,7 +201,8 @@ class SoaCore:
                         credit_dests.append((0, 0))
                     else:
                         credit_dests.append(
-                            (2, upstream * S + OPPOSITE_PORT[port] * V))
+                            (2, topology.input_slot(
+                                upstream, OPPOSITE_PORT[port])))
         self.send_targets = send_targets
         self.credit_dests = credit_dests
         self.routers: List[SoaRouter] = [SoaRouter(self, rid)
@@ -278,17 +269,11 @@ class SoaCore:
         self.stats.buffer_writes += 1
 
     def accept_arrivals(self, arrivals: List[tuple], now: int) -> None:
-        """Batched ``accept`` for the network's pending-arrival queue.
-
-        On the inline fast path the queue holds packed ``(g, flit)`` pairs
-        (the arrival slot index was folded into the send target table);
-        with per-flit send closures armed it holds the object core's
-        ``(router, port, vc, flit)`` tuples.
+        """Batched ``accept`` of packed ``(g, flit)`` pairs, ``g`` the
+        flat input slot: one cycle's link arrivals (every send path folds
+        the slot into its target table) or the NI pass's injections (each
+        NI knows its local-port slot base).
         """
-        if self.send_fns is not None:
-            for rid, port, vc, flit in arrivals:
-                self.accept(rid, port, vc, flit, now)
-            return
         bufs = self.bufs
         head_ready = self.head_ready
         route_out = self.route_out
@@ -556,7 +541,8 @@ class SoaCore:
                         # Payload tuple: the communicated datum itself.
                         # repro: allow[hot-alloc]
                         arrivals_append((t + ovc, flit))
-                    else:
+                    elif flit.is_tail:
+                        # Only a tail does anything at the ejecting NI.
                         # repro: allow[hot-alloc]
                         eject_append((-1 - t, flit))
                 else:
@@ -683,7 +669,8 @@ class SoaCore:
                         # Payload tuple: the communicated datum itself.
                         # repro: allow[hot-alloc]
                         arrivals_append((t + ovc, flit))
-                    else:
+                    elif flit.is_tail:
+                        # Only a tail does anything at the ejecting NI.
                         # repro: allow[hot-alloc]
                         eject_append((-1 - t, flit))
                 else:

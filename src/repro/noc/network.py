@@ -3,8 +3,10 @@
 Per-cycle sequencing (all effects of cycle *t* become visible at *t+1*):
 
 1. deliver flits sent at *t-1* into router buffers / NI ejection;
-2. run traffic generation and NI decode completions;
-3. NIs inject (at most one flit each) into their router's local port;
+2. run traffic generation;
+3. each busy NI takes one turn: it finishes its due decodes and emits at
+   most one flit; the cycle's emitted flits then enter their routers' local
+   ports as one batch;
 4. routers run RC/VA/SA and traverse winning flits (departures are queued
    for delivery at *t+1*; credits are collected);
 5. credits collected in (4) are applied, becoming usable at *t+1*.
@@ -25,6 +27,7 @@ quiescence proof O(1) lives in :data:`SKIP_ACCOUNTED_STATE`.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.compression.base import CompressionScheme
@@ -111,7 +114,9 @@ SKIP_ACCOUNTED_STATE: Dict[str, Dict[str, str]] = {
         "_route_fns": "static",
         "_send_fns": "static",
         "_credit_fns": "static",
-        "_accept_fns": "static",
+        # NI pass scratch: the cycle's packed (slot, flit) injections,
+        # filled and handed to the core within one step.
+        "_injections": "scratch",
         "_sanitizer": "static",
         "_skipping": "static",
         "_profile": "static",
@@ -221,6 +226,7 @@ SKIP_ACCOUNTED_STATE: Dict[str, Dict[str, str]] = {
         "num_vcs": "static",
         "on_deliver": "static",
         "overlap_compression": "static",
+        "_slot_base": "static",
         "_queue": "wakeup",
         "_current_flits": "wakeup",
         "_current_index": "frozen",
@@ -314,19 +320,27 @@ class Network:
         for router in self.routers:
             for port in range(NUM_DIRECTIONS, self.topology.ports_per_router):
                 router.set_output_credits(port, EJECTION_CREDITS)
+        topology = self.topology
         self.nis = [
             NetworkInterface(node, scheme, config.num_vcs, config.vc_depth,
-                             self.stats, flit_bytes=config.flit_bytes,
+                             self.stats,
+                             topology.input_slot(topology.router_of(node),
+                                                 topology.local_port_of(node)),
+                             flit_bytes=config.flit_bytes,
                              on_deliver=on_deliver,
                              overlap_compression=config.overlap_compression)
             for node in range(config.n_nodes)]
         self.traffic_source = None
-        # (dst_router, port, vc, flit) due next cycle.
-        self._pending_router_arrivals: List[Tuple[int, int, int, Flit]] = []
-        # (node, flit) ejections due next cycle.
+        # (flat input slot, flit) link arrivals due next cycle.
+        self._pending_router_arrivals: List[Tuple[int, Flit]] = []
+        # (node, flit) ejections due next cycle.  Only tail flits are
+        # queued: NetworkInterface.eject ignores the rest (reassembly is
+        # implicit), and NoCSan counts every ejection in its send wrapper.
         self._pending_ejections: List[Tuple[int, Flit]] = []
         # (router, port, vc) credits to apply at end of cycle.
         self._credit_events: List[Tuple[int, int, int]] = []
+        # (flat input slot, flit) injections emitted by this cycle's NI pass.
+        self._injections: List[Tuple[int, Flit]] = []
         # Active-NI fast path (mirrors the router ``_buffered`` skip): an NI
         # with nothing queued, in flight or decoding is skipped entirely in
         # :meth:`step`.  Flags are raised on submit/eject and lowered once
@@ -374,8 +388,6 @@ class Network:
                           for r in range(config.n_routers)]
         self._credit_fns = [self._make_credit_fn(r)
                             for r in range(config.n_routers)]
-        self._accept_fns = [self._make_accept_fn(n)
-                            for n in range(config.n_nodes)]
         if self._faults is not None:
             for ni in self.nis:
                 ni.attach_fault_layer(self._faults)
@@ -394,8 +406,6 @@ class Network:
                               for r, fn in enumerate(self._send_fns)]
             self._credit_fns = [sanitizer.wrap_credit(r, fn)
                                 for r, fn in enumerate(self._credit_fns)]
-            self._accept_fns = [sanitizer.wrap_accept(n, fn)
-                                for n, fn in enumerate(self._accept_fns)]
             for ni in self.nis:
                 ni.on_deliver = sanitizer.wrap_deliver(ni.node_id,
                                                        ni.on_deliver)
@@ -428,17 +438,9 @@ class Network:
     def _make_send_fn(self, rid: int):
         topology = self.topology
         stats = self.stats
-        # Per-port destination, resolved once: (dst_router, dst_port) for
-        # linked directions, (None, node) for local/ejection ports.
-        targets = []
-        for port in range(topology.ports_per_router):
-            link = topology.link(rid, port)
-            if link is not None:
-                targets.append((link.dst_router, link.dst_port))
-            elif port >= NUM_DIRECTIONS:
-                targets.append((None, topology.node_at(rid, port)))
-            else:
-                targets.append(None)  # mesh edge: never routed to
+        # Per-port destination, resolved once (MeshTopology.send_target).
+        targets = [topology.send_target(rid, port)
+                   for port in range(topology.ports_per_router)]
 
         faults = self._faults
         if faults is None or not faults.affects_links:
@@ -446,21 +448,19 @@ class Network:
             def send(out_port: int, out_vc: int, flit: Flit) -> None:
                 self._buffered_total -= 1
                 target = targets[out_port]
-                dst_router, dst_port = target
-                if dst_router is not None:
+                if target >= 0:
                     stats.link_traversals += 1
                     self._pending_router_arrivals.append(
-                        (dst_router, dst_port, out_vc, flit))
-                else:
-                    self._pending_ejections.append((dst_port, flit))
+                        (target + out_vc, flit))
+                elif flit.is_tail:
+                    self._pending_ejections.append((-1 - target, flit))
 
             return send
 
         def send_faulty(out_port: int, out_vc: int, flit: Flit) -> None:
             self._buffered_total -= 1
             target = targets[out_port]
-            dst_router, dst_port = target
-            if dst_router is not None:
+            if target >= 0:
                 if faults.on_link_traversal(rid, out_port, out_vc, flit,
                                             self.cycle):
                     # Dropped mid-link: the flit never arrives and the
@@ -470,10 +470,9 @@ class Network:
                         sanitizer.note_drop(flit)
                     return
                 stats.link_traversals += 1
-                self._pending_router_arrivals.append(
-                    (dst_router, dst_port, out_vc, flit))
-            else:
-                self._pending_ejections.append((dst_port, flit))
+                self._pending_router_arrivals.append((target + out_vc, flit))
+            elif flit.is_tail:
+                self._pending_ejections.append((-1 - target, flit))
 
         return send_faulty
 
@@ -484,26 +483,6 @@ class Network:
             events.append((rid, in_port, in_vc))
 
         return credit
-
-    def _make_accept_fn(self, node: int):
-        rid = self.topology.router_of(node)
-        port = self.topology.local_port_of(node)
-        core = self._core
-        if core is not None:
-            core_accept = core.accept
-
-            def accept(vc: int, flit: Flit, now: int) -> None:
-                self._buffered_total += 1
-                core_accept(rid, port, vc, flit, now)
-
-            return accept
-        router = self.routers[rid]
-
-        def accept(vc: int, flit: Flit, now: int) -> None:
-            self._buffered_total += 1
-            router.accept(port, vc, flit, now)
-
-        return accept
 
     def set_traffic(self, source) -> None:
         """Attach a traffic source (``generate(cycle) -> [TrafficRequest]``)."""
@@ -549,23 +528,23 @@ class Network:
                 if not active[request.src]:
                     active[request.src] = True
                     self._busy_ni_count += 1
-        # Only NIs with queued, in-flight or decoding work take their turn;
-        # idle ones are skipped (analogous to the router _buffered skip).
-        # Per-NI process+inject ordering is unchanged: NIs never interact
-        # with each other within a cycle.
+        # Only NIs with queued, in-flight or decoding work take their turn
+        # (one inject() call each, in node order); idle ones are skipped
+        # (analogous to the router _buffered skip).  NIs never interact
+        # with each other within a cycle, and no turn reads router state,
+        # so buffering the emitted flits after the pass is unobservable.
         if profile and self._busy_ni_count:
             self.stats.ni_phase_ticks += 1
         nis = self.nis
-        accept_fns = self._accept_fns
-        for node in range(len(nis)):
-            if not active[node]:
-                continue
-            ni = nis[node]
-            ni.process(now)
-            ni.inject(now, accept_fns[node])
-            if not ni.busy():
+        injections = self._injections
+        emit = injections.append
+        # compress() reads each flag lazily, when the pass reaches it.
+        for node in compress(range(len(nis)), active):
+            if not nis[node].inject(now, emit):
                 active[node] = False
                 self._busy_ni_count -= 1
+        if injections:
+            self._accept_injections(now)
         if profile and self._buffered_total:
             self.stats.router_phase_ticks += 1
         self._cycle_routers(now)
@@ -790,18 +769,36 @@ class Network:
         self._pending_ejections = []
         self._buffered_total += len(router_arrivals)
         if router_arrivals:
-            core = self._core
-            if core is not None:
-                core.accept_arrivals(router_arrivals, now)
-            else:
-                for router_id, port, vc, flit in router_arrivals:
-                    self.routers[router_id].accept(port, vc, flit, now)
+            self._buffer_flits(router_arrivals, now)
         active = self._ni_active
         for node, flit in ejections:
             self.nis[node].eject(flit, now)
             if not active[node]:
                 active[node] = True
                 self._busy_ni_count += 1
+
+    def _accept_injections(self, now: int) -> None:
+        """Buffer the NI pass's packed ``(slot, flit)`` injections in the
+        routers' local ports, in emission order: one batched core call, as
+        for link arrivals.  NoCSan records the flit births first."""
+        injections = self._injections
+        self._buffered_total += len(injections)
+        if self._sanitizer is not None:
+            self._sanitizer.record_injections(injections, now)
+        self._buffer_flits(injections, now)
+        injections.clear()
+
+    def _buffer_flits(self, batch: List[Tuple[int, Flit]], now: int) -> None:
+        """Buffer packed ``(input slot, flit)`` pairs in their routers."""
+        core = self._core
+        if core is not None:
+            core.accept_arrivals(batch, now)
+            return
+        routers = self.routers
+        slot_coords = self.topology.slot_coords
+        for slot, flit in batch:
+            rid, port, vc = slot_coords(slot)
+            routers[rid].accept(port, vc, flit, now)
 
     def _cycle_routers(self, now: int) -> None:
         core = self._core

@@ -18,13 +18,21 @@ Latency model (§4.3):
 
 Dictionary-protocol notifications produced by the decoder are injected here
 as single-flit control packets addressed to the corresponding encoder node.
+
+Per cycle the network calls :meth:`NetworkInterface.inject` once for each
+NI with work: that one turn finishes the decodes due, emits at most one
+flit as a packed ``(router input slot, flit)`` pair and reports whether the
+NI is still busy.  The network buffers the cycle's emitted pairs in one
+batch, through the same core path link arrivals take.  Only tail flits
+need to reach :meth:`NetworkInterface.eject` (reassembly is implicit), so
+the network queues ejections for tails alone.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.compression.base import (
     CompressionScheme,
@@ -38,6 +46,10 @@ from repro.noc.stats import NetworkStats
 #: Delivery callback: ``(packet, delivered_block, now)``; the block is None
 #: for control/notification packets.
 DeliverCallback = Callable[[Packet, Optional[CacheBlock], int], None]
+
+#: Injection sink: receives one packed ``(slot, flit)`` pair, ``slot`` being
+#: the flat router input slot (``slot_base + vc``) the flit enters.
+EmitCallback = Callable[[Tuple[int, Flit]], None]
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,7 +68,7 @@ class NetworkInterface:
 
     def __init__(self, node_id: int, scheme: CompressionScheme,
                  num_vcs: int, vc_depth: int, stats: NetworkStats,
-                 flit_bytes: int = 8,
+                 slot_base: int, flit_bytes: int = 8,
                  on_deliver: Optional[DeliverCallback] = None,
                  overlap_compression: bool = True):
         self.node_id = node_id
@@ -69,6 +81,10 @@ class NetworkInterface:
         #: §4.3 latency-hiding optimization: compression overlaps with NI
         #: queueing.  Disable to quantify the optimization (ablation).
         self.overlap_compression = overlap_compression
+        #: Flat input slot of VC 0 on this NI's router local port
+        #: (:meth:`MeshTopology.input_slot`); an injected flit on VC ``vc``
+        #: enters slot ``slot_base + vc``.
+        self._slot_base = slot_base
         #: Fault-injection layer (repro.faults), attached by the network
         #: when ``config.faults`` is set; None leaves every hook dormant.
         self._fault_layer = None
@@ -215,34 +231,50 @@ class NetworkInterface:
 
     # --------------------------------------------------------- injection
 
-    def inject(self, now: int,
-               accept: Callable[[int, Flit, int], None]) -> None:
-        """Push at most one flit into the router's local input port.
+    def inject(self, now: int, emit: EmitCallback) -> bool:
+        """This NI's turn in the network's per-cycle NI pass.
 
-        ``accept(vc, flit, now)`` buffers the flit in the router.
+        Finishes the decodes due by ``now`` (calling :meth:`process` only
+        when the head decode is due or a notification waits), then pushes
+        at most one flit toward the router's local input port: ``emit``
+        receives it as a packed ``(slot_base + vc, flit)`` pair, and the
+        network buffers the cycle's pairs in one batch.  Returns whether
+        the NI is still :meth:`busy`.
         """
-        if self._current_flits is None and not self._start_next_packet(now):
-            return
+        decodes = self._pending_decodes
+        if (decodes and decodes[0][0] <= now) \
+                or self._outbound_notifications:
+            self.process(now)
         flits = self._current_flits
-        packet = flits[0].packet
-        if self._current_vc is None:
-            self._current_vc = self._pick_vc()
-            if self._current_vc is None:
-                return  # every VC is out of credits
+        if flits is None:
+            if not self._start_next_packet(now):
+                return self.busy()
+            flits = self._current_flits
         vc = self._current_vc
-        if self._credits[vc] <= 0:
-            return
-        flit = flits[self._current_index]
-        self._credits[vc] -= 1
-        accept(vc, flit, now)
+        if vc is None:
+            vc = self._pick_vc()
+            if vc is None:
+                return True  # every VC is out of credits
+            self._current_vc = vc
+        credits = self._credits
+        if credits[vc] <= 0:
+            return True
+        index = self._current_index
+        flit = flits[index]
+        credits[vc] -= 1
+        emit((self._slot_base + vc, flit))
         if flit.is_head:
+            packet = flit.packet
             packet.head_injected = now
             self.stats.record_injection(packet)
-        self._current_index += 1
-        if self._current_index >= len(flits):
-            self._current_flits = None
-            self._current_index = 0
-            self._current_vc = None
+        index += 1
+        if index < len(flits):
+            self._current_index = index
+            return True
+        self._current_flits = None
+        self._current_index = 0
+        self._current_vc = None
+        return self.busy()
 
     def _start_next_packet(self, now: int) -> bool:
         """Dequeue the next injectable packet (FIFO, §4.3 overlap rule)."""

@@ -4,6 +4,11 @@ Routers sit on a ``width x height`` grid.  Ports 0..3 are the cardinal
 directions (N, E, S, W); ports 4..4+c-1 are the local ports of the ``c``
 concentrated nodes.  Node *n* attaches to router ``n // c`` on local port
 ``4 + n % c``.
+
+Router input buffers are numbered by one flat *slot* index,
+``router * ports * vcs + port * vcs + vc`` (:meth:`MeshTopology.input_slot`
+and its inverse :meth:`MeshTopology.slot_coords`); the batched router core,
+the network's flit queues, the NIs and NoCSan all use it.
 """
 
 from __future__ import annotations
@@ -17,6 +22,12 @@ NORTH, EAST, SOUTH, WEST = 0, 1, 2, 3
 DIRECTION_NAMES = {NORTH: "N", EAST: "E", SOUTH: "S", WEST: "W"}
 #: Cardinal ports on every router.
 NUM_DIRECTIONS = 4
+
+#: :meth:`MeshTopology.send_target` of an unwired mesh-edge port.
+#: Deterministic routing never produces such a hop; the sentinel decodes as
+#: an impossible ejection node so a routing bug fails loudly instead of
+#: corrupting state.
+EDGE_TARGET = -(1 << 50)
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,6 +51,9 @@ class MeshTopology:
         self.n_routers = config.n_routers
         self.n_nodes = config.n_nodes
         self.ports_per_router = NUM_DIRECTIONS + self.concentration
+        self.num_vcs = config.num_vcs
+        #: Input (port, vc) slots per router in the flat slot index.
+        self.slots_per_router = self.ports_per_router * self.num_vcs
         self._links = self._build_links()
 
     # ----------------------------------------------------------- geometry
@@ -72,6 +86,29 @@ class MeshTopology:
         if not 0 <= slot < self.concentration:
             raise ValueError(f"port {local_port} is not a local port")
         return router * self.concentration + slot
+
+    def input_slot(self, router: int, port: int, vc: int = 0) -> int:
+        """Flat slot index of input ``(port, vc)`` on ``router``."""
+        return router * self.slots_per_router + port * self.num_vcs + vc
+
+    def slot_coords(self, slot: int) -> Tuple[int, int, int]:
+        """``(router, port, vc)`` of a flat slot index (inverse of
+        :meth:`input_slot`)."""
+        router, local = divmod(slot, self.slots_per_router)
+        port, vc = divmod(local, self.num_vcs)
+        return router, port, vc
+
+    def send_target(self, router: int, port: int) -> int:
+        """Where a flit leaving ``router`` through ``port`` goes, packed
+        in one int: the downstream input slot of VC 0 for a link (>= 0;
+        add the out VC), ``-1 - node`` for a local (ejection) port,
+        :data:`EDGE_TARGET` for an unwired mesh edge."""
+        link = self.link(router, port)
+        if link is not None:
+            return self.input_slot(link.dst_router, link.dst_port)
+        if port >= NUM_DIRECTIONS:
+            return -1 - self.node_at(router, port)
+        return EDGE_TARGET
 
     def neighbor(self, router: int, direction: int) -> Optional[int]:
         """Adjacent router in a cardinal direction (None at mesh edge)."""

@@ -2,9 +2,9 @@
 
 When enabled (``NocConfig(sanitize=True)`` or the ``REPRO_SANITIZE``
 environment variable), :class:`~repro.noc.network.Network` routes its
-injection/send/credit/delivery callbacks through a :class:`NocSanitizer`,
-which checks a catalogue of architectural invariants as the simulation
-advances:
+send/credit/delivery callbacks and its per-cycle injection batch through a
+:class:`NocSanitizer`, which checks a catalogue of architectural invariants
+as the simulation advances:
 
 * **Flit conservation** (every cycle) — ``injected - delivered`` must equal
   the flits buffered in routers plus those in flight on links; a flit can
@@ -139,7 +139,8 @@ class NocSanitizer:
     """Runtime invariant checker wired into one :class:`Network`.
 
     The network calls the ``wrap_*`` factories while building its callback
-    tables and :meth:`after_cycle` at the end of every :meth:`Network.step`.
+    tables, :meth:`record_injections` with each cycle's injection batch and
+    :meth:`after_cycle` at the end of every :meth:`Network.step`.
     """
 
     #: Events retained for the replayable trace tail.
@@ -189,18 +190,19 @@ class NocSanitizer:
                              cycle=self.network.cycle,
                              trace=tuple(self._trace), **where)
 
-    def wrap_accept(self, node: int, fn: Callable[[int, Flit, int], None]
-                    ) -> Callable[[int, Flit, int], None]:
-        """Instrument an NI->router injection callback (flit births)."""
+    def record_injections(self, injections: List[Tuple[int, Flit]],
+                          now: int) -> None:
+        """Record flit births: the cycle's NI injections, as the packed
+        ``(router input slot, flit)`` batch the network buffers."""
+        topology = self.network.topology
+        births = self._births
         trace = self._trace
-
-        def accept(vc: int, flit: Flit, now: int) -> None:
+        for slot, flit in injections:
+            rid, port, vc = topology.slot_coords(slot)
             self.injected += 1
-            self._births[id(flit)] = (now, flit)
-            trace.append(("inject", now, node, vc, flit.packet.pid))
-            fn(vc, flit, now)
-
-        return accept
+            births[id(flit)] = (now, flit)
+            trace.append(("inject", now, topology.node_at(rid, port), vc,
+                          flit.packet.pid))
 
     def wrap_send(self, rid: int, fn: Callable[[int, int, Flit], None]
                   ) -> Callable[[int, int, Flit], None]:
@@ -283,8 +285,7 @@ class NocSanitizer:
         """Recheck a corrupt-but-delivered payload against the fault
         injector's declared damage: each word must equal the encoder's
         promise XOR the recorded corruption masks — no more, no less."""
-        words = packet.encoded.words
-        expected = [enc.decoded for enc in words]
+        expected = list(packet.encoded.decoded_words())
         n = len(expected)
         for index, mask in packet.fault.xors:
             expected[index % n] ^= mask
@@ -447,12 +448,10 @@ class NocSanitizer:
                 self._fail("router-state",
                            f"router {router.router_id}: {message}",
                            router=router.router_id)
-        # In-flight flit count per (dst_router, dst_port, vc).
-        in_flight: Dict[Tuple[int, int, int], int] = {}
-        for dst_router, dst_port, vc, _flit in \
-                network._pending_router_arrivals:
-            key = (dst_router, dst_port, vc)
-            in_flight[key] = in_flight.get(key, 0) + 1
+        # In-flight flit count per destination input slot.
+        in_flight: Dict[int, int] = {}
+        for slot, _flit in network._pending_router_arrivals:
+            in_flight[slot] = in_flight.get(slot, 0) + 1
         topology = network.topology
         from repro.noc.network import EJECTION_CREDITS
         # Tolerant mode discounts credits the injector declares swallowed
@@ -472,8 +471,8 @@ class NocSanitizer:
                         downstream = network.routers[link.dst_router]
                         occupancy = downstream.buffer_occupancy(
                             link.dst_port, vc)
-                        flying = in_flight.get(
-                            (link.dst_router, link.dst_port, vc), 0)
+                        flying = in_flight.get(topology.input_slot(
+                            link.dst_router, link.dst_port, vc), 0)
                         expected = vc_depth
                         if lost_link is not None:
                             expected -= lost_link.get((rid, port, vc), 0)

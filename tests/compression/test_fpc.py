@@ -52,65 +52,65 @@ class TestExactClasses:
 class TestApproxMatching:
     def test_near_zero_matches_zero(self):
         # 3 with 2 don't-care bits is approximately zero
-        cls, candidate = fpc.match_approx(3, mask=0b11)
+        cls, candidate = fpc.classify_approx(3, mask=0b11)
         assert cls.code == 0b000
         assert candidate == 0
 
     def test_not_near_zero(self):
-        cls, candidate = fpc.match_approx(4, mask=0b11)
+        cls, candidate = fpc.classify_approx(4, mask=0b11)
         assert cls.code != 0b000
 
     def test_near_multiple_of_2_16(self):
         # 70000 = 0x11170; with a 14-bit mask the block reaches 0x10000
-        cls, candidate = fpc.match_approx(70000, mask=(1 << 14) - 1)
+        cls, candidate = fpc.classify_approx(70000, mask=(1 << 14) - 1)
         assert candidate == 0x10000
         assert cls.code in (0b011, 0b100)  # 0x10000 is not halfword-signed
 
     def test_candidate_stays_in_block(self):
         word = 12345
         mask = (1 << 6) - 1
-        cls, candidate = fpc.match_approx(word, mask)
+        cls, candidate = fpc.classify_approx(word, mask)
         assert (candidate & ~mask) == (word & ~mask)
 
     def test_priority_rule_prefers_higher_class(self):
         # 8 with 3 don't-care bits: zero (priority 0) wins even though 8
         # matches 4-bit-sign-extended... it doesn't (8 > 7), but it matches
         # byte-sign-extended exactly; the zero class still wins.
-        cls, candidate = fpc.match_approx(8, mask=0b1111)
+        cls, candidate = fpc.classify_approx(8, mask=0b1111)
         assert cls.code == 0b000
         assert candidate == 0
 
     def test_zero_mask_equals_exact(self):
         for word in (0, 5, 1000, 0xDEADBEEF, to_unsigned(-77)):
-            assert fpc.match_approx(word, 0) == fpc.match_exact(word)
+            assert fpc.classify_approx(word, 0) == fpc.match_exact(word)
 
     def test_negative_word_sign_class(self):
         word = to_unsigned(-100)
-        cls, candidate = fpc.match_approx(word, mask=0b111)
+        cls, candidate = fpc.classify_approx(word, mask=0b111)
         assert cls.code == 0b010  # still byte sign-extended
         assert (candidate & ~0b111) == (word & ~0b111)
 
     @given(WORDS, MASKS)
     def test_candidate_always_within_masked_block(self, word, mask):
-        cls, candidate = fpc.match_approx(word, mask)
+        cls, candidate = fpc.classify_approx(word, mask)
         assert (candidate & ~mask & 0xFFFFFFFF) == (word & ~mask & 0xFFFFFFFF)
 
     @given(WORDS, MASKS)
     def test_candidate_is_class_member(self, word, mask):
-        cls, candidate = fpc.match_approx(word, mask)
+        cls, candidate = fpc.classify_approx(word, mask)
         assert cls.exact_match(candidate)
 
     @given(WORDS, MASKS)
     def test_approx_never_worse_than_exact(self, word, mask):
         """Masked matching compresses at least as well as exact matching."""
         exact_cls, _ = fpc.match_exact(word)
-        approx_cls, _ = fpc.match_approx(word, mask)
+        approx_cls, _ = fpc.classify_approx(word, mask)
         order = [c.code for c in fpc.COMPRESSIBLE_CLASSES] + [0b111]
         assert order.index(approx_cls.code) <= order.index(exact_cls.code)
 
     @given(WORDS)
     def test_exact_match_is_approx_with_zero_mask(self, word):
-        assert fpc.match_approx(word, 0) == fpc.match_exact(word)
+        assert fpc.classify_approx(word, 0) == fpc.match_exact(word)
 
 
 class TestHalfwordClasses:

@@ -11,6 +11,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.compression import EncodedBlock
 from repro.faults import FaultConfig
 from repro.faults.inject import (
     FaultInjector,
@@ -107,20 +108,11 @@ class TestWindowSchedule:
         assert len(shapes) > 1
 
 
-class _FakeWord:
-    def __init__(self, decoded):
-        self.decoded = decoded
-
-
-class _FakeEncoded:
-    def __init__(self, words):
-        self.words = [_FakeWord(w) for w in words]
-
-
 class _FakePacket:
     def __init__(self, kind=PacketKind.DATA, words=(1, 2, 3, 4)):
         self.kind = kind
-        self.encoded = _FakeEncoded(words)
+        self.encoded = EncodedBlock(raw=tuple(words),
+                                    size_bits=32 * len(words))
         self.fault = None
 
 

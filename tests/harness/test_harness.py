@@ -61,7 +61,7 @@ class TestMakeScheme:
 
 
 def _cache_counts():
-    infos = (*match_cache_info(), evaluate_cache_info())
+    infos = (match_cache_info(), evaluate_cache_info())
     hits, misses = word_memo_totals()
     return (sum(i.hits for i in infos), sum(i.misses for i in infos),
             hits, misses)
