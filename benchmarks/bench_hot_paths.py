@@ -6,17 +6,13 @@ Times, over fixed deterministic workloads:
   (``fp_vaxx._match_word``: AVCL mask, masked pattern match, relative
   error) over words the memo has not seen;
 * ``Avcl.evaluate``      — don't-care mask computation per word;
-* ``Network.step``       — full network cycles replaying a benchmark trace;
-* event-horizon fast path — the same network skipping quiescent windows
-  under uniform-random low-load traffic (DESIGN.md §12), reported both as
-  seconds and as simulated cycles/second, next to a forced always-step
-  run of the identical workload;
+* ``Network.step``       — full network cycles replaying a benchmark trace,
+  plain, with NoCSan on, and with the fault layer built but unarmed;
 * saturated-load stepping — an 8x8 mesh at 0.1 flits/node/cycle, run on
   both the struct-of-arrays core and the object core (DESIGN.md §14),
   with the wall clock split per step phase so regressions are
   attributable to a phase rather than a total;
-* big-mesh stepping — the same load on 16x16, plus the numpy backend
-  when it is importable;
+* big-mesh stepping — the same load on 16x16, on both cores;
 * trace pipeline — end-to-end replay (trace load + run) of a
   500k-record trace on 16x16 from JSON-lines (eager ``load_trace``)
   versus the memory-mapped binary format (``StreamingTraceTraffic``,
@@ -33,7 +29,10 @@ Run standalone::
 
 ``--check`` exits non-zero when any metric is slower than baseline by more
 than the allowed factor (a coarse tripwire for accidental hot-path
-regressions; the 3x default absorbs machine-to-machine variance).
+regressions; the 3x default absorbs machine-to-machine variance).  The
+same-run ratio gates (faults-off overhead, SoA-vs-object speedups) run
+the repeats of their two sides interleaved, so a burst of host load
+lands on both sides rather than on one.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ import tempfile
 import time
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 from repro.core.avcl import Avcl, clear_evaluate_cache
 from repro.core.block import DataType
@@ -74,13 +74,6 @@ PASS_OPS = 100_000
 #: Memo-miss bodies per measured pass (each one is a full cold match).
 MISS_OPS = 20_000
 NETWORK_CYCLES = 1500
-#: Low-load point: uniform-random traffic this sparse leaves ~99% of
-#: cycles quiescent, so the event-horizon skip dominates the run.  (At
-#: ~0.02 flits/node/cycle a packet's ~14-cycle flight still keeps the
-#: network busy ~14% of the time and caps the skip win near 1.7x; see
-#: DESIGN.md §12 for the amplification argument.)
-LOWLOAD_RATE = 0.002
-LOWLOAD_CYCLES = 60_000
 #: Saturated-load point (ISSUE 6): uniform-random traffic at 0.1
 #: *uncompressed flits* per node per cycle — the repo's injection-rate
 #: unit — on an 8x8 mesh, replayed under the Baseline scheme so the
@@ -120,6 +113,20 @@ def _words(n: int, seed: int = 7):
 
 def _best(fn) -> float:
     return min(fn() for _ in range(REPEATS))
+
+
+def _interleaved(passes):
+    """Best-of-``REPEATS`` outcome of each pass, running the passes'
+    repeats interleaved (A, B, A, B, ...) so a burst of host load lands on
+    every side of a same-run ratio rather than on one.  Each pass returns
+    a tuple whose first element is its wall time."""
+    best = [None] * len(passes)
+    for _ in range(REPEATS):
+        for index, one_pass in enumerate(passes):
+            outcome = one_pass()
+            if best[index] is None or outcome[0] < best[index][0]:
+                best[index] = outcome
+    return best
 
 
 def bench_fpvaxx_memo_miss() -> float:
@@ -163,17 +170,13 @@ def _replay_network(config: NocConfig, scheme_name: str,
     return network
 
 
-def _timed_replay(config: NocConfig, scheme_name: str, trace: list,
-                  cycles: int) -> float:
-    """Best-of-``REPEATS`` wall time of one trace replay."""
-
-    def one_pass() -> float:
-        network = _replay_network(config, scheme_name, trace)
-        start = time.perf_counter()
-        network.run(cycles)
-        return time.perf_counter() - start
-
-    return _best(one_pass)
+def _replay_once(config: NocConfig, scheme_name: str, trace: list,
+                 cycles: int):
+    """One timed trace replay: ``(wall_s, network)``."""
+    network = _replay_network(config, scheme_name, trace)
+    start = time.perf_counter()
+    network.run(cycles)
+    return time.perf_counter() - start, network
 
 
 def _phase_split_replay(config: NocConfig, scheme_name: str, trace: list,
@@ -215,78 +218,39 @@ def _phase_split_replay(config: NocConfig, scheme_name: str, trace: list,
     return perf() - start, phases, network
 
 
-def bench_network_step(sanitize: bool = False, faults=None) -> float:
-    config = NocConfig(mesh_width=2, mesh_height=2, concentration=2,
-                       sanitize=sanitize, faults=faults)
-    trace = benchmark_trace(config, "ssca2", NETWORK_CYCLES, seed=11)
-    return _timed_replay(config, "FP-VAXX", trace, NETWORK_CYCLES)
+def bench_network_step() -> dict:
+    """One benchmark trace replayed on the 2x2x2 mesh three ways.
 
-
-def bench_network_step_lowload() -> dict:
-    """Event-horizon fast path vs forced always-step on low-load traffic.
-
-    Uniform-random synthetic traffic is recorded once into a trace (setup,
-    untimed — the harness's own methodology, see ``run_trace``), then the
-    identical trace is replayed with ``event_horizon`` on and off.  Both
-    runs must produce bit-identical simulation outputs (asserted here);
-    only wall-clock may differ.
+    ``network_step_s`` is the plain run.  ``network_step_sanitized_s``
+    (NoCSan on) is reported for visibility but exempt from --check: the
+    sanitized path is opt-in debugging.  ``network_step_faultsoff_s`` builds
+    the fault layer with every rate at zero, so the hot paths must compile
+    down to the faults=None closures; --check gates it at
+    ``FAULTS_OFF_MAX_OVERHEAD`` of the same run's ``network_step_s``.
     """
-    config = NocConfig(mesh_width=2, mesh_height=2, concentration=1)
-    source = SyntheticTraffic(config, injection_rate=LOWLOAD_RATE,
-                              seed=13, data_ratio=1.0)
-    trace = record_trace(source, LOWLOAD_CYCLES)
-
-    def run_once(event_horizon: bool) -> Network:
-        network = _replay_network(replace(config,
-                                          event_horizon=event_horizon),
-                                  "FP-VAXX", trace)
-        network.run(LOWLOAD_CYCLES)
-        return network
-
-    skip_net = run_once(True)
-    step_net = run_once(False)
-    if skip_net.stats.simulation_outputs() != step_net.stats.simulation_outputs():
-        raise AssertionError(
-            "event-horizon run diverged from always-step run: "
-            f"{skip_net.stats.simulation_outputs()} != "
-            f"{step_net.stats.simulation_outputs()}")
-    lowload = _timed_replay(config, "FP-VAXX", trace, LOWLOAD_CYCLES)
-    alwaysstep = _timed_replay(replace(config, event_horizon=False),
-                               "FP-VAXX", trace, LOWLOAD_CYCLES)
-    return {
-        "network_step_lowload_s": lowload,
-        "network_step_lowload_cycles_per_sec": LOWLOAD_CYCLES / lowload,
-        # Forced always-step comparator on the identical workload: reported
-        # for the speedup trajectory, exempt from --check (it times the
-        # deliberately-slow mode; the fast path above is what must not
-        # regress — as is network_step_s for the shared step machinery).
-        "network_step_lowload_alwaysstep_s": alwaysstep,
-        "network_step_lowload_speedup_x": alwaysstep / lowload,
-    }
+    variants = {"network_step_s": {},
+                "network_step_sanitized_s": {"sanitize": True},
+                "network_step_faultsoff_s": {"faults": FaultConfig()}}
+    passes = []
+    for overrides in variants.values():
+        config = NocConfig(mesh_width=2, mesh_height=2, concentration=2,
+                           **overrides)
+        trace = benchmark_trace(config, "ssca2", NETWORK_CYCLES, seed=11)
+        passes.append(partial(_replay_once, config, "FP-VAXX", trace,
+                              NETWORK_CYCLES))
+    return {name: outcome[0]
+            for name, outcome in zip(variants, _interleaved(passes))}
 
 
 def _core_comparison(config: NocConfig, trace: list, cycles: int):
     """Run one trace on the SoA core and the object core, asserting
     bit-identical simulation outputs, and return their best wall times
     (plus the SoA pass's per-phase split)."""
-    soa_cfg = replace(config, core="soa")
-    obj_cfg = replace(config, core="object")
-    best_total = None
-    best_phases = None
-    soa_net = None
-    for _ in range(REPEATS):
-        total, phases, network = _phase_split_replay(soa_cfg, "Baseline",
-                                                     trace, cycles)
-        if best_total is None or total < best_total:
-            best_total, best_phases, soa_net = total, phases, network
-    obj_total = None
-    obj_phases = None
-    obj_net = None
-    for _ in range(REPEATS):
-        total, phases, network = _phase_split_replay(obj_cfg, "Baseline",
-                                                     trace, cycles)
-        if obj_total is None or total < obj_total:
-            obj_total, obj_phases, obj_net = total, phases, network
+    (best_total, best_phases, soa_net), (obj_total, obj_phases, obj_net) = \
+        _interleaved([
+            partial(_phase_split_replay, replace(config, core=core),
+                    "Baseline", trace, cycles)
+            for core in ("soa", "object")])
     if soa_net.stats.simulation_outputs() != obj_net.stats.simulation_outputs():
         raise AssertionError(
             "SoA core diverged from the object core on the bench "
@@ -341,32 +305,18 @@ def bench_network_step_saturated() -> dict:
 
 def bench_network_step_bigmesh() -> dict:
     """Big-mesh stepping: the saturated workload on 16x16, SoA vs object
-    core, plus the numpy backend when it is importable."""
+    core."""
     config = NocConfig(mesh_width=16, mesh_height=16, concentration=1)
     source = SyntheticTraffic(config, injection_rate=SATURATED_RATE,
                               seed=13, data_ratio=0.25)
     trace = record_trace(source, BIGMESH_CYCLES)
-    soa_s, _, soa_net, obj_s, _ = _core_comparison(config, trace,
-                                                   BIGMESH_CYCLES)
-    results = {
+    soa_s, _, _, obj_s, _ = _core_comparison(config, trace, BIGMESH_CYCLES)
+    return {
         "network_step_bigmesh_s": soa_s,
         "network_step_bigmesh_cycles_per_sec": BIGMESH_CYCLES / soa_s,
         "network_step_bigmesh_objectcore_s": obj_s,
         "network_step_bigmesh_speedup_x": obj_s / soa_s,
     }
-    try:
-        import numpy  # noqa: F401  (optional extra, see pyproject [fast])
-    except ImportError:
-        return results
-    np_cfg = replace(config, core="numpy")
-    np_net = _replay_network(np_cfg, "Baseline", trace)
-    np_net.run(BIGMESH_CYCLES)
-    if np_net.stats.simulation_outputs() != soa_net.stats.simulation_outputs():
-        raise AssertionError(
-            "numpy core diverged from the SoA core on the bench workload")
-    results["network_step_bigmesh_numpy_s"] = _timed_replay(
-        np_cfg, "Baseline", trace, BIGMESH_CYCLES)
-    return results
 
 
 def _synth_trace_records(n_nodes: int, n_records: int, seed: int = 17):
@@ -509,19 +459,8 @@ def run_all() -> dict:
     results = {
         "fpvaxx_memo_miss_s": bench_fpvaxx_memo_miss(),
         "avcl_evaluate_s": bench_avcl_evaluate(),
-        "network_step_s": bench_network_step(),
-        # NoCSan overhead, reported for visibility but exempt from --check:
-        # the sanitized path is opt-in debugging, only the *disabled* path
-        # (network_step_s above, with no wrapping at all) must stay fast.
-        "network_step_sanitized_s": bench_network_step(sanitize=True),
-        # Fault-injection layer built but with every rate at zero: the
-        # hot paths must compile down to the faults=None closures.  Gated
-        # in --check at <= FAULTS_OFF_MAX_OVERHEAD of network_step_s from
-        # the *same* run (in-results ratio: immune to machine variance).
-        "network_step_faultsoff_s": bench_network_step(
-            faults=FaultConfig()),
     }
-    results.update(bench_network_step_lowload())
+    results.update(bench_network_step())
     results.update(bench_network_step_saturated())
     results.update(bench_network_step_bigmesh())
     results.update(bench_trace_pipeline())
@@ -617,8 +556,7 @@ def check(results: dict, baseline_path: str, max_regression: float) -> int:
     for name, value in results.items():
         if not name.endswith("_s"):
             continue  # non-timing metric (cycles/sec, speedup): not gated
-        if name.endswith(("_sanitized_s", "_alwaysstep_s",
-                          "_faultsoff_s", "_objectcore_s", "_numpy_s",
+        if name.endswith(("_sanitized_s", "_faultsoff_s", "_objectcore_s",
                           "_jsonl_s")):
             continue  # debug/comparator timing: gated above or never
         reference = baseline.get(name)
@@ -650,9 +588,6 @@ def main(argv=None) -> int:
         print(f"{name}: {value:.4f}{unit}")
     overhead = results["network_step_sanitized_s"] / results["network_step_s"]
     print(f"sanitizer overhead (enabled vs disabled): {overhead:.2f}x")
-    print(f"event-horizon low-load speedup (skip vs always-step): "
-          f"{results['network_step_lowload_speedup_x']:.2f}x "
-          f"({results['network_step_lowload_cycles_per_sec']:,.0f} cycles/s)")
     print(f"SoA core saturated speedup (vs object core, same run): "
           f"{results['network_step_saturated_speedup_x']:.2f}x full run, "
           f"{results['network_step_saturated_router_speedup_x']:.2f}x "

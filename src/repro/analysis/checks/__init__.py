@@ -10,15 +10,13 @@ Importing this package registers every rule (the modules self-register via
 * :mod:`.service`      — 31x: no blocking calls on the campaign service's
   event loop (its coroutines drive lease heartbeats and backpressure);
 * :mod:`.hygiene`      — 4xx/5xx: API hygiene and typing completeness;
-* :mod:`.noc_state`    — 6xx/7xx: NoC protocol state stays behind the
+* :mod:`.noc_state`    — 6xx: NoC protocol state stays behind the
   Router/NI methods the NoCSan sanitizer audits, and every NocConfig
   field has a static-verifier validation rule;
-* :mod:`.state_proofs` — 80x: flow-sensitive proofs that every
-  ``SKIP_ACCOUNTED_STATE`` classification holds at each mutation site;
 * :mod:`.rng_streams`  — 81x: taint-based RNG stream isolation between
   the fault and workload subsystems;
 * :mod:`.api_parity`   — 82x: the Network hot path fits both router
-  representations and both SoA core backends;
+  representations;
 * :mod:`.value_ranges` — 90x: abstract-interpretation value proofs —
   shift ranges, 32-bit containment, zero divisors, and the AVCL
   error-bound certifier;
@@ -36,10 +34,9 @@ from repro.analysis.checks import (
     parallel,
     rng_streams,
     service,
-    state_proofs,
     value_ranges,
 )
 
 __all__ = ["api_parity", "bits", "determinism", "hot_alloc", "hygiene",
            "noc_state", "parallel", "rng_streams", "service",
-           "state_proofs", "value_ranges"]
+           "value_ranges"]

@@ -2,20 +2,18 @@
 
 The simulator runs the same ``Network`` hot path against two router
 representations (object-per-router :class:`Router` and the SoA
-:class:`SoaRouter` view) and two SoA backends (:class:`SoaCore` and the
-vectorized :class:`NumpyCore`).  Nothing in Python enforces that the
+:class:`SoaRouter` view).  Nothing in Python enforces that the
 surfaces stay interchangeable — a member added to one but not the other
 only explodes at runtime, and only on the configuration that exercises
 the gap.
 
-These rules resolve every attribute the hot path touches on a
-router-shaped or core-shaped receiver (flow-sensitive alias tracking, so
+The rule resolves every attribute the hot path touches on a
+router-shaped receiver (flow-sensitive alias tracking, so
 ``router = self.routers[i]`` and loop targets count) against *both*
 implementations: missing members, method-vs-property mismatches at call
-sites, and call arity violations are flagged.  REPRO822 additionally
-diffs every method the numpy backend overrides against the SoA base
-signature.  Intentionally single-surface calls (e.g. the object-router
-pipeline ``cycle``) carry inline ``# repro: allow[...]`` justifications.
+sites, and call arity violations are flagged.  Intentionally
+single-surface calls (e.g. the object-router pipeline ``cycle``) carry
+inline ``# repro: allow[...]`` justifications.
 """
 
 from __future__ import annotations
@@ -90,15 +88,35 @@ def _call_shape(call: ast.Call) -> Optional[Tuple[int, List[str]]]:
     return (len(call.args), keywords)
 
 
-class _ParityRule(ProjectRule):
-    """Shared machinery: check each access against a pair of classes."""
+@register
+class RouterSurfaceParity(ProjectRule):
+    """The Network hot path (including the sanitizer and fault layers)
+    uses a router member that does not exist — or is not callable the
+    same way — on both the object :class:`Router` and the SoA
+    :class:`SoaRouter` view.  The two representations are selected by
+    configuration, so a one-sided member is a latent crash on the other
+    backend."""
 
-    #: (left, right) class names whose surfaces must agree.
-    pair: Tuple[str, str] = ("", "")
-    #: Receiver path tail names that mark a matched receiver.
-    receivers: FrozenSet[str] = frozenset()
-    #: Modules whose functions are scanned for accesses.
-    scan_modules: Tuple[str, ...] = ()
+    name = "router-surface-parity"
+    code = "REPRO821"
+    invariant = ("Every router member the hot path touches resolves with "
+                 "a compatible shape on both Router and SoaRouter.")
+    includes = ("repro.noc", "repro.verify", "repro.faults")
+    pair = ("Router", "SoaRouter")
+    receivers = frozenset({"routers[]", "router"})
+    scan_modules = ("repro.noc.network", "repro.verify", "repro.faults")
+    example_bad = """
+        class Network:
+            def _audit(self):
+                for router in self.routers:
+                    router.flush_pipeline()   # exists only on Router
+    """
+    example_good = """
+        class Network:
+            def _audit(self):
+                for router in self.routers:
+                    router.audit()   # defined on Router and SoaRouter
+    """
 
     def check_project(self, project: ProjectContext) -> Iterable[Finding]:
         left, right = self.pair
@@ -123,11 +141,7 @@ class _ParityRule(ProjectRule):
                 seen.add(key)
                 findings.append(self.finding_at(access.item.ctx,
                                                 access.node, message))
-        findings.extend(self.extra_findings(project))
         return findings
-
-    def extra_findings(self, project: ProjectContext) -> List[Finding]:
-        return []
 
     def _judge(self, project: ProjectContext,
                access: _Access) -> Optional[str]:
@@ -174,108 +188,3 @@ class _ParityRule(ProjectRule):
                         f"{access.item.qualname} does not fit "
                         f"{name}.{access.attr}: {error}")
         return None
-
-
-@register
-class RouterSurfaceParity(_ParityRule):
-    """The Network hot path (including the sanitizer and fault layers)
-    uses a router member that does not exist — or is not callable the
-    same way — on both the object :class:`Router` and the SoA
-    :class:`SoaRouter` view.  The two representations are selected by
-    configuration, so a one-sided member is a latent crash on the other
-    backend."""
-
-    name = "router-surface-parity"
-    code = "REPRO821"
-    invariant = ("Every router member the hot path touches resolves with "
-                 "a compatible shape on both Router and SoaRouter.")
-    includes = ("repro.noc", "repro.verify", "repro.faults")
-    pair = ("Router", "SoaRouter")
-    receivers = frozenset({"routers[]", "router"})
-    scan_modules = ("repro.noc.network", "repro.verify", "repro.faults")
-    example_bad = """
-        class Network:
-            def _audit(self):
-                for router in self.routers:
-                    router.flush_pipeline()   # exists only on Router
-    """
-    example_good = """
-        class Network:
-            def _audit(self):
-                for router in self.routers:
-                    router.audit()   # defined on Router and SoaRouter
-    """
-
-
-@register
-class CoreBackendParity(_ParityRule):
-    """The Network hot path uses a core member missing from one SoA
-    backend, or the numpy backend overrides a SoA method with an
-    incompatible signature.  ``SoaCore`` and ``NumpyCore`` must stay
-    drop-in interchangeable: the backend is chosen by configuration and
-    every call the network makes must fit both."""
-
-    name = "core-backend-parity"
-    code = "REPRO822"
-    invariant = ("Core members used by the hot path resolve on SoaCore "
-                 "and NumpyCore; numpy overrides keep the base "
-                 "signature.")
-    includes = ("repro.noc",)
-    pair = ("SoaCore", "NumpyCore")
-    receivers = frozenset({"_core", "core"})
-    scan_modules = ("repro.noc.network",)
-    example_bad = """
-        class NumpyCore(SoaCore):
-            def next_ready_all(self, now, horizon):   # base takes (now)
-                ...
-    """
-    example_good = """
-        class NumpyCore(SoaCore):
-            def next_ready_all(self, now):   # matches SoaCore's shape
-                ...
-    """
-
-    def extra_findings(self, project: ProjectContext) -> List[Finding]:
-        base_name, override_name = self.pair
-        base = project.classes.get(base_name)
-        override = project.classes.get(override_name)
-        if base is None or override is None:
-            return []
-        findings: List[Finding] = []
-        for name, func in sorted(override.methods.items()):
-            if name.startswith("__") or name not in base.methods:
-                continue
-            mismatch = _signature_mismatch(base.methods[name], func)
-            if mismatch:
-                findings.append(self.finding_at(
-                    override.ctx, func,
-                    f"{override_name}.{name} overrides "
-                    f"{base_name}.{name} with a different signature: "
-                    f"{mismatch}"))
-        return findings
-
-
-def _signature_mismatch(base: ast.FunctionDef,
-                        override: ast.FunctionDef) -> Optional[str]:
-    """Human-readable difference between two def signatures, or None."""
-
-    def shape(func: ast.FunctionDef) -> Tuple[List[str], int, List[str],
-                                              bool, bool]:
-        args = func.args
-        positional = [a.arg for a in args.posonlyargs + args.args][1:]
-        return (positional, len(args.defaults),
-                [a.arg for a in args.kwonlyargs],
-                args.vararg is not None, args.kwarg is not None)
-
-    b, o = shape(base), shape(override)
-    if b == o:
-        return None
-    if b[0] != o[0]:
-        return (f"positional parameters ({', '.join(b[0]) or 'none'}) "
-                f"vs ({', '.join(o[0]) or 'none'})")
-    if b[1] != o[1]:
-        return f"{b[1]} defaulted parameter(s) vs {o[1]}"
-    if b[2] != o[2]:
-        return (f"keyword-only parameters ({', '.join(b[2]) or 'none'}) "
-                f"vs ({', '.join(o[2]) or 'none'})")
-    return "vararg/kwarg shape differs"

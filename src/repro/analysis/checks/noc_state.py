@@ -9,12 +9,7 @@ These rules make that assumption machine-checked at lint time:
   else in the package;
 * REPRO602 keeps :data:`repro.verify.static.VALIDATED_CONFIG_FIELDS` in
   lockstep with the ``NocConfig`` dataclass, so a new knob cannot ship
-  without a validation rule in the static verifier;
-* REPRO701 keeps :data:`repro.noc.network.SKIP_ACCOUNTED_STATE` in
-  lockstep with the instance state of ``Network``/``Router``/
-  ``NetworkInterface``, so a new mutable field cannot ship without a
-  skip-safety classification (DESIGN.md §12) — an unclassified field
-  could silently invalidate the event-horizon quiescence proof.
+  without a validation rule in the static verifier.
 """
 
 from __future__ import annotations
@@ -165,76 +160,3 @@ class ConfigFieldValidation(Rule):
             return annotation.attr == "ClassVar"
         return isinstance(annotation, ast.Name) and \
             annotation.id == "ClassVar"
-
-
-@register
-class SkipSafetyAccounting(Rule):
-    """Every Network/Router/NI state field has a skip classification."""
-
-    name = "skip-safety-accounting"
-    code = "REPRO701"
-    invariant = ("The event-horizon fast-forward (DESIGN.md §12) is sound "
-                 "only if every mutable field of Network/Router/"
-                 "NetworkInterface is classified in repro.noc.network."
-                 "SKIP_ACCOUNTED_STATE: a field outside the registry has "
-                 "no argument for why a skipped window leaves it "
-                 "bit-identical to stepping, so the quiescence proof "
-                 "silently stops covering the simulator.")
-    includes = ("repro.noc.network", "repro.noc.router", "repro.noc.ni",
-                "repro.noc.core_soa", "repro.traffic.tracefile")
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        # Imported lazily: the analysis engine must not pull the simulator
-        # packages in at registry-population time.
-        from repro.noc.network import (
-            SKIP_ACCOUNTED_STATE,
-            SKIP_CLASSIFICATIONS,
-        )
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef) or \
-                    node.name not in SKIP_ACCOUNTED_STATE:
-                continue
-            registry = SKIP_ACCOUNTED_STATE[node.name]
-            init = next((stmt for stmt in node.body
-                         if isinstance(stmt, ast.FunctionDef)
-                         and stmt.name == "__init__"), None)
-            if init is None:
-                continue
-            # These are __slots__ classes: every instance field is
-            # introduced in __init__ (closures included), so walking it
-            # enumerates the complete mutable state.
-            seen = set()
-            for attr, stmt in self._self_assignments(init):
-                if attr in seen:
-                    continue
-                seen.add(attr)
-                classification = registry.get(attr)
-                if classification is None:
-                    yield self.finding(
-                        ctx, stmt,
-                        f"{node.name} field {attr!r} is not registered in "
-                        f"repro.noc.network.SKIP_ACCOUNTED_STATE: classify "
-                        f"how it stays bit-identical across a skipped "
-                        f"window (one of {sorted(SKIP_CLASSIFICATIONS)})")
-                elif classification not in SKIP_CLASSIFICATIONS:
-                    yield self.finding(
-                        ctx, stmt,
-                        f"{node.name} field {attr!r} has unknown skip "
-                        f"classification {classification!r}: use one of "
-                        f"{sorted(SKIP_CLASSIFICATIONS)}")
-
-    def _self_assignments(
-            self, init: ast.FunctionDef
-    ) -> Iterator[tuple]:
-        """``(attr, stmt)`` for every ``self.<attr> = ...`` in ``init``."""
-        for stmt in ast.walk(init):
-            if not isinstance(stmt,
-                              (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                continue
-            targets = (stmt.targets if isinstance(stmt, ast.Assign)
-                       else [stmt.target])
-            for target in targets:
-                if isinstance(target, ast.Attribute) and \
-                        isinstance(target.value, ast.Name) and \
-                        target.value.id == "self":
-                    yield target.attr, stmt

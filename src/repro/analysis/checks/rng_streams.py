@@ -73,8 +73,8 @@ def stream_family(module: str) -> str:
 
 
 def _salt_values() -> Dict[str, int]:
-    """Fault salt constants, lazily imported from the simulator (same
-    pattern as REPRO701: the values live with the fault layer)."""
+    """Fault salt constants, lazily imported from the simulator (the
+    values live with the fault layer)."""
     try:
         from repro.faults import config as fault_config
     except ImportError:  # pragma: no cover - simulator not importable

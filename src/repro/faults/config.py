@@ -100,9 +100,3 @@ class FaultConfig:
         the only hooks on the router send hot path)."""
         return (self.bitflip_rate > 0 or self.drop_rate > 0
                 or self.stuck_rate > 0)
-
-    @property
-    def scheduled_faults(self) -> bool:
-        """True when any time-scheduled fault model is armed (these pin
-        event-horizon wakeups; DESIGN.md §13)."""
-        return self.stuck_rate > 0 or self.failstop_rate > 0

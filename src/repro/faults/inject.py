@@ -7,20 +7,17 @@ injector's own :class:`~repro.util.rng.DeterministicRng` tree (seeded from
 scheduled classes), so fault campaigns are seed-reproducible and entirely
 independent of the traffic RNG.
 
-Determinism under the event horizon (DESIGN.md §13):
+Determinism (DESIGN.md §13):
 
 * **Traversal-coupled faults** (bit-flips, drops, credit loss) draw one
-  Bernoulli per event *as the event happens*.  Traversals and credit
-  returns are activity, and activity is bit-identical between always-step
-  and event-horizon runs, so the draw sequences are too.
+  Bernoulli per event *as the event happens*, so the draw sequence
+  follows the network's activity.
 * **Scheduled faults** (stuck-at windows, router fail-stop) pre-draw their
   window sequences per link/router with geometric inter-arrivals.  A
   schedule is advanced lazily, but only ever *to* the queried cycle: the
   state after any query at cycle ``t`` is a pure function of ``t`` (prefix
-  property of the draw sequence), so querying patterns that differ between
-  execution modes cannot diverge the streams.  Armed schedules pin
-  event-horizon wakeups through :meth:`FaultInjector.next_event`, so a
-  skip can never jump over a fail-stop onset or revival.
+  property of the draw sequence), so it does not depend on how often the
+  schedule was queried.
 
 Corruption is recorded as metadata (:class:`PacketFaultState` on
 ``Packet.fault``) and applied to the *delivered* words at the destination
@@ -138,13 +135,12 @@ class _WindowSchedule:
     Windows are ``[onset, onset + duration)`` with geometric gaps between
     them.  ``_advance(now)`` consumes draws only while the current window
     lies entirely in the past, so the schedule state after any query at
-    cycle ``now`` depends on ``now`` alone — never on how often or from
-    which execution mode it was queried (the event-horizon determinism
-    argument, DESIGN.md §13).
+    cycle ``now`` depends on ``now`` alone — never on how often it was
+    queried (DESIGN.md §13).
     """
 
     __slots__ = ("_rng", "_rate", "_duration", "_stuck",
-                 "onset", "bit", "value", "hits", "prev_end")
+                 "onset", "bit", "value", "hits")
 
     def __init__(self, rng: DeterministicRng, rate: float, duration: int,
                  stuck: bool = False):
@@ -157,10 +153,6 @@ class _WindowSchedule:
         #: Payload flits corrupted by the current window (drives which word
         #: a stuck bit lands on; advances only on traversals = activity).
         self.hits = 0
-        #: End cycle of the last window the schedule advanced past —
-        #: i.e. the most recent revival at or before the latest query
-        #: (consulted by FaultInjector.revived_since).
-        self.prev_end = 0
         self.onset = geometric(rng, rate)
         if stuck:
             self._draw_stuck_shape()
@@ -172,8 +164,8 @@ class _WindowSchedule:
 
     def _advance(self, now: int) -> None:
         while self.onset + self._duration <= now:
-            self.prev_end = self.onset + self._duration
-            self.onset = self.prev_end + geometric(self._rng, self._rate)
+            self.onset = (self.onset + self._duration
+                          + geometric(self._rng, self._rate))
             if self._stuck:
                 self._draw_stuck_shape()
 
@@ -181,13 +173,6 @@ class _WindowSchedule:
         """Whether a fault window covers cycle ``now``."""
         self._advance(now)
         return self.onset <= now
-
-    def next_boundary(self, now: int) -> int:
-        """The next onset or offset at or after ``now`` (wakeup pin)."""
-        self._advance(now)
-        if now < self.onset:
-            return self.onset
-        return self.onset + self._duration
 
 
 class FaultInjector:
@@ -223,7 +208,8 @@ class FaultInjector:
         self.lost_link_credits: Dict[Tuple[int, int, int], int] = {}
         self.lost_ni_credits: Dict[Tuple[int, int], int] = {}
         #: (router, out_port) -> stuck-at window schedule, built eagerly
-        #: for every inter-router link so next_event never has to draw.
+        #: for every inter-router link, each from its own fork of the
+        #: stuck-at stream (salted by router and port).
         self._stuck: Dict[Tuple[int, int], _WindowSchedule] = {}
         if config.stuck_rate > 0:
             stuck_rng = rng.fork(STUCK_SALT)
@@ -262,11 +248,6 @@ class FaultInjector:
         return (self.recovery is not None and self.config.credit_watchdog
                 and (self.config.drop_rate > 0
                      or self.config.credit_loss_rate > 0))
-
-    @property
-    def has_events(self) -> bool:
-        """Whether :meth:`next_event` can ever pin a wakeup horizon."""
-        return bool(self._stuck or self._failstop or self.needs_tick)
 
     # ------------------------------------------------------- fault models
 
@@ -362,23 +343,7 @@ class FaultInjector:
         its buffered flits frozen and runs no pipeline stage)."""
         return self._failstop[rid].active(now)
 
-    def revived_since(self, rid: int, now: int, since: int) -> bool:
-        """Whether router ``rid`` is alive at ``now`` but was fail-stopped
-        at some cycle in ``(since, now]``.
-
-        The event-horizon quiescence proof assumes every buffered router
-        *ran* during the proof cycle and couldn't move its heads — so the
-        heads are blocked on credits, which only activity releases.  A
-        fail-stopped router never ran: its frozen heads carry stale
-        ``ready_at`` stamps that pin no wakeup, yet they become movable
-        the moment the router revives.  A proof made at cycle ``since``
-        is therefore void for any buffered router that revived after it —
-        the network must step (``Network._may_skip`` consults this).
-        """
-        schedule = self._failstop[rid]
-        return not schedule.active(now) and schedule.prev_end > since
-
-    # ------------------------------------------------- per-cycle / wakeup
+    # --------------------------------------------------------- per-cycle
 
     def begin_cycle(self, now: int, network: Any) -> None:
         """Top-of-step hook (only called when :attr:`needs_tick`): fire
@@ -389,28 +354,6 @@ class FaultInjector:
             return
         assert self.recovery is not None  # needs_tick implies recovery
         self.recovery.resync_credits(network, self)
-
-    def next_event(self, now: int) -> Optional[int]:
-        """Earliest cycle ``>= now`` at which a scheduled fault boundary
-        or a pending watchdog tick fires (event-horizon wakeup pin; the
-        traversal-coupled fault classes need none — they only act on
-        activity, which ends a skip window by itself)."""
-        horizon: Optional[int] = None
-        for schedule in self._failstop:
-            boundary = schedule.next_boundary(now)
-            if horizon is None or boundary < horizon:
-                horizon = boundary
-        for schedule in self._stuck.values():
-            boundary = schedule.next_boundary(now)
-            if horizon is None or boundary < horizon:
-                horizon = boundary
-        if self.needs_tick and (self.lost_link_credits
-                                or self.lost_ni_credits):
-            period = self.config.watchdog_period
-            tick = ((now + period - 1) // period) * period
-            if horizon is None or tick < horizon:
-                horizon = tick
-        return horizon
 
     # --------------------------------------------- NI-facing layer hooks
 

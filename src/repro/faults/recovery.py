@@ -29,8 +29,8 @@ hooks here.  Three independent mechanisms (each with its own sub-switch):
   correctness rather than compression.
 
 Everything here is deterministic: no RNG, no wall clock; decisions depend
-only on simulation state, so recovery composes with the event-horizon
-core and the bit-identity guarantees unchanged.
+only on simulation state, so recovery keeps the bit-identity guarantees
+unchanged.
 """
 
 from __future__ import annotations

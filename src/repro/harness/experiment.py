@@ -84,12 +84,8 @@ def encode_cache_totals() -> Tuple[int, int]:
 
 
 #: RunResult fields that describe the *measurement process* rather than the
-#: simulated network; excluded from bit-identity comparisons.  Skipped
-#: cycles belong here: the event-horizon fast path changes how many cycles
-#: are jumped (always-step runs report 0) without changing any simulated
-#: number.
-PERF_FIELDS = ("wall_time_s", "encode_cache_hits", "encode_cache_misses",
-               "skipped_cycles")
+#: simulated network; excluded from bit-identity comparisons.
+PERF_FIELDS = ("wall_time_s", "encode_cache_hits", "encode_cache_misses")
 
 
 @dataclass
@@ -112,13 +108,11 @@ class RunResult:
     notifications: int
     throughput: float
     power: PowerReport
-    # Perf instrumentation (not simulation outputs): harness wall time,
-    # encode-cache effectiveness and event-horizon skips over the whole
-    # run (warmup + measure).
+    # Perf instrumentation (not simulation outputs): harness wall time and
+    # encode-cache effectiveness over the whole run (warmup + measure).
     wall_time_s: float = 0.0
     encode_cache_hits: int = 0
     encode_cache_misses: int = 0
-    skipped_cycles: int = 0
     # Fault-injection and recovery counters (repro.faults; all zero when
     # the layer is unarmed).  Simulation outputs, *not* perf fields: a
     # fault campaign's injections are part of its bit-identity contract.
@@ -155,7 +149,6 @@ class RunResult:
                                 network.config.frequency_ghz),
             encode_cache_hits=stats.encode_cache_hits,
             encode_cache_misses=stats.encode_cache_misses,
-            skipped_cycles=stats.skipped_cycles,
             faults_injected=fault_summary.get("faults_injected", 0),
             crc_rejections=fault_summary.get("crc_rejections", 0),
             retransmissions=fault_summary.get("retransmissions", 0),
@@ -253,7 +246,6 @@ def run_trace(config: NocConfig, mechanism: str, trace: TraceLike,
               approx_override: Optional[float] = None,
               drain_budget: int = 200_000,
               sanitize: Optional[bool] = None,
-              event_horizon: Optional[bool] = None,
               core: Optional[str] = None,
               trace_start: int = 0,
               trace_stop: Optional[int] = None) -> RunResult:
@@ -267,10 +259,8 @@ def run_trace(config: NocConfig, mechanism: str, trace: TraceLike,
 
     ``sanitize`` overrides ``config.sanitize`` (None keeps the config's
     setting; the ``REPRO_SANITIZE`` environment variable still applies).
-    ``event_horizon`` likewise overrides ``config.event_horizon`` — the
-    equivalence tests force it both ways on one config.  ``core``
-    overrides ``config.core`` the same way (the cross-core identity suite
-    runs one config through every backend).
+    ``core`` overrides ``config.core`` the same way (the cross-core
+    identity suite runs one config through both backends).
     """
     return _measured_run(
         config, mechanism,
@@ -279,7 +269,7 @@ def run_trace(config: NocConfig, mechanism: str, trace: TraceLike,
                                      trace_start=trace_start,
                                      trace_stop=trace_stop),
         warmup, measure, error_threshold_pct, drain_budget,
-        dict(sanitize=sanitize, event_horizon=event_horizon, core=core))
+        dict(sanitize=sanitize, core=core))
 
 
 def run_synthetic(config: NocConfig, mechanism: str, traffic_factory,
@@ -287,21 +277,19 @@ def run_synthetic(config: NocConfig, mechanism: str, traffic_factory,
                   error_threshold_pct: float = 10.0,
                   drain_budget: int = 400_000,
                   sanitize: Optional[bool] = None,
-                  event_horizon: Optional[bool] = None,
                   core: Optional[str] = None) -> RunResult:
     """Run live synthetic traffic (Figure 12's methodology).
 
     ``traffic_factory(config)`` builds a fresh traffic source so each
     mechanism sees an identically-seeded stream.  Unlike :func:`run_trace`,
     saturated networks are expected here: the run is *not* drained, and
-    latency reflects packets delivered inside the window.  ``sanitize``,
-    ``event_horizon`` and ``core`` override their config fields as in
-    :func:`run_trace`.
+    latency reflects packets delivered inside the window.  ``sanitize``
+    and ``core`` override their config fields as in :func:`run_trace`.
     """
     return _measured_run(
         config, mechanism, traffic_factory, warmup, measure,
         error_threshold_pct, None,
-        dict(sanitize=sanitize, event_horizon=event_horizon, core=core))
+        dict(sanitize=sanitize, core=core))
 
 
 def _measured_run(config: NocConfig, mechanism: str, traffic_factory,

@@ -77,9 +77,10 @@ from repro.traffic import SyntheticTraffic, get_benchmark
 #: stale cache entries from older code can never be returned.
 #: v2: NocConfig gained the ``sanitize`` field (changes the canonical
 #: asdict form; results themselves are unchanged when it is False).
-#: v3: NocConfig gained ``event_horizon``/``profile_phases`` and RunResult
-#: gained ``skipped_cycles`` (simulation outputs are bit-identical either
-#: way; the canonical forms changed).
+#: v3: NocConfig gained ``profile_phases`` and a cycle-skipping switch, and
+#: RunResult a skip counter (simulation outputs are bit-identical either
+#: way; the canonical forms changed).  The counter has since been removed:
+#: ``load_cached`` evicts entries that still carry it.
 #: v4: NocConfig gained ``faults``, RunResult gained the fault/recovery
 #: counters, and cache entries gained a content checksum.
 #: v5: NocConfig gained the ``core`` backend field (all backends are

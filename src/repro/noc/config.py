@@ -13,6 +13,13 @@ from typing import Optional
 
 from repro.faults.config import FaultConfig
 
+#: Why ``event_horizon`` and ``core`` outlive the features they selected.
+_RETIRED_FIELDS = (
+    "the event horizon and the numpy core were removed and every cycle is "
+    "stepped; the field stays only because cache keys and the end-to-end "
+    "benchmark digests hash every NocConfig field; it goes once bench_e2e "
+    "pins per-spec result digests (ROADMAP, Subtract prerequisite)")
+
 
 @dataclass(frozen=True, slots=True)
 class NocConfig:
@@ -44,14 +51,12 @@ class NocConfig:
     #: :mod:`repro.verify.sanitizer`).  Also switched on globally by the
     #: ``REPRO_SANITIZE`` environment variable.
     sanitize: bool = False
-    #: Event-horizon fast path: let ``Network.run()``/``drain()`` jump over
-    #: provably-quiescent cycles (bit-identical results; DESIGN.md §12).
-    #: Disable to force always-step execution, as the equivalence tests do
-    #: for their reference runs.
+    #: Retired (DESIGN.md §12): only ``True`` is accepted; see
+    #: ``_RETIRED_FIELDS``.
     event_horizon: bool = True
-    #: Count per-phase activity ticks and skipped cycles in
-    #: :class:`~repro.noc.stats.NetworkStats` (cheap observability for the
-    #: event-horizon fast path; off by default to keep ``step()`` lean).
+    #: Count per-phase activity ticks in
+    #: :class:`~repro.noc.stats.NetworkStats` (off by default to keep
+    #: ``step()`` lean).
     profile_phases: bool = False
     #: Deterministic fault-injection layer (DESIGN.md §13).  None disables
     #: it entirely; an all-zero :class:`~repro.faults.config.FaultConfig`
@@ -59,9 +64,8 @@ class NocConfig:
     faults: Optional[FaultConfig] = None
     #: Simulation-core backend (DESIGN.md §14): ``"soa"`` (default) steps
     #: all routers in one batched pass over flat state arrays, ``"object"``
-    #: keeps the per-object reference routers, ``"numpy"`` adds vectorized
-    #: wakeup reductions (optional dependency, ``pip install .[fast]``).
-    #: All three are bit-identical; ``router_factory`` forces ``object``.
+    #: keeps the per-object reference routers.  Both are bit-identical;
+    #: ``router_factory`` forces ``object``.
     core: str = "soa"
 
     def __post_init__(self) -> None:
@@ -70,10 +74,14 @@ class NocConfig:
                      "block_bytes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.core not in ("object", "soa", "numpy"):
+        if self.event_horizon is not True:
             raise ValueError(
-                f"core must be one of 'object', 'soa', 'numpy', "
-                f"got {self.core!r}")
+                f"event_horizon must be True, got {self.event_horizon!r}: "
+                f"{_RETIRED_FIELDS}")
+        if self.core not in ("object", "soa"):
+            raise ValueError(
+                f"core must be one of 'object', 'soa', got {self.core!r}: "
+                f"{_RETIRED_FIELDS}")
 
     @property
     def n_routers(self) -> int:

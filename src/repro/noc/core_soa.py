@@ -23,8 +23,7 @@ Four things make the batched pass faster than a straight transliteration:
   order over that subset equals the object core's rotated full scan with
   the ineligible slots skipped, so the allocation decisions are identical.
 * **``head_ready`` array + ``min_ready`` bound** — ``head_ready[g]`` caches
-  ``buffer[0].ready_at`` (``_INF`` when empty), making ``next_ready`` /
-  ``skip_cycles`` single min-reductions.  ``min_ready[rid]`` is a
+  ``buffer[0].ready_at`` (``_INF`` when empty).  ``min_ready[rid]`` is a
   conservative lower bound on the earliest cycle any head of router ``rid``
   can win switch allocation: while ``min_ready[rid] > now`` the SA scan is
   skipped outright.  A stale-low bound only costs a scan that finds
@@ -45,23 +44,16 @@ Four things make the batched pass faster than a straight transliteration:
 
 :class:`SoaRouter` is a thin per-router view over the core arrays exposing
 the object-core surface the rest of the repo relies on (``accept``,
-``credit_return``, ``next_ready``, ``skip_cycles``, ``audit``,
-``_buffered``, ``inputs``/``out_credits`` for tests and the sanitizer), so
-``network.routers`` keeps working regardless of the selected core.
-
-:class:`NumpyCore` (``NocConfig(core="numpy")``) stores ``head_ready`` as a
-numpy int64 array and vectorizes the min-reductions — a win for big meshes
-under low load where the reduction dominates, at the cost of slightly
-slower scalar reads in the saturated-load loop.  numpy is an optional
-extra (``pip install '.[fast]'``); the ``object`` and ``soa`` cores never
-import it.
+``credit_return``, ``audit``, ``_buffered``, ``inputs``/``out_credits``
+for tests and the sanitizer), so ``network.routers`` keeps working
+regardless of the selected core.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.noc.config import NocConfig
 from repro.noc.packet import Flit
@@ -72,42 +64,12 @@ from repro.noc.topology import MeshTopology, NUM_DIRECTIONS
 #: reachable simulated cycle, so min-reductions need no None handling.
 _INF = 1 << 60
 
-#: Core backends selectable via ``NocConfig(core=...)``.
-CORE_BACKENDS = ("object", "soa", "numpy")
-
-
-def make_core(kind: str, config: NocConfig, topology: MeshTopology,
-              stats: NetworkStats, route) -> "SoaCore":
-    """Build the requested batched core (``soa`` or ``numpy``).
-
-    The ``object`` core has no :class:`SoaCore`; ``Network`` keeps its
-    per-object router list for that backend (and for custom
-    ``router_factory`` classes, which subclass ``Router``).
-    """
-    if kind == "soa":
-        return SoaCore(config, topology, stats, route)
-    if kind == "numpy":
-        try:
-            import numpy  # noqa: F401 - availability probe
-        except ImportError as exc:
-            raise RuntimeError(
-                "NocConfig(core='numpy') requires numpy, which is an "
-                "optional dependency — install it with "
-                "`pip install '.[fast]'` (or `pip install numpy`), or "
-                "select core='soa' for the pure-Python batched core"
-            ) from exc
-        return NumpyCore(config, topology, stats, route)
-    raise ValueError(f"unknown core backend {kind!r}; "
-                     f"expected one of {CORE_BACKENDS}")
-
 
 class SoaCore:
     """Flat-array state + batched per-cycle stepping for every router.
 
     All mutable simulation state lives in the arrays below; the
     :class:`SoaRouter` views in :attr:`routers` hold no state of their own.
-    Every field carries a skip-safety classification in
-    :data:`repro.noc.network.SKIP_ACCOUNTED_STATE` (lint rule REPRO701).
     """
 
     def __init__(self, config: NocConfig, topology: MeshTopology,
@@ -748,54 +710,6 @@ class SoaCore:
                 out_credits[idx] += 1
         del events[:]
 
-    # ------------------------------------------------------ event horizon
-
-    def next_ready_all(self, now: int) -> Optional[int]:
-        """Earliest ``ready_at >= now`` over every head-of-line flit, or
-        None — the batched form of the per-router ``next_ready`` loop."""
-        head_ready = self.head_ready
-        earliest = min(head_ready)
-        if earliest >= now:
-            return None if earliest == _INF else earliest
-        best = _INF
-        for ready in head_ready:
-            if now <= ready < best:
-                best = ready
-        return None if best == _INF else best
-
-    def next_ready_router(self, rid: int, now: int) -> Optional[int]:
-        """Per-router ``next_ready`` (view API; the network's skip decision
-        uses :meth:`next_ready_all`)."""
-        best = _INF
-        base = rid * self.slots
-        for g in range(base, base + self.slots):
-            ready = self.head_ready[g]
-            if now <= ready < best:
-                best = ready
-        return None if best == _INF else best
-
-    def skip_all(self, count: int) -> None:
-        """Replay ``count`` skipped cycles of VA input rotation on every
-        buffered router (the batched form of ``Router.skip_cycles``)."""
-        S = self.slots
-        delta = (count * self.num_vcs) % S
-        if delta == 0:
-            return
-        va_input_rr = self.va_input_rr
-        buffered = self.buffered
-        for rid in range(self.n_routers):
-            if buffered[rid]:
-                nxt = va_input_rr[rid] + delta
-                va_input_rr[rid] = nxt - S if nxt >= S else nxt
-
-    def skip_router(self, rid: int, count: int) -> None:
-        """Per-router ``skip_cycles`` (used when fail-stop faults exclude
-        dead routers from the replay)."""
-        if self.buffered[rid]:
-            S = self.slots
-            self.va_input_rr[rid] = (self.va_input_rr[rid]
-                                     + count * self.num_vcs) % S
-
     # -------------------------------------------------------- inspection
 
     def buffer_occupancy(self, rid: int, port: int, vc: int) -> int:
@@ -1036,12 +950,6 @@ class SoaRouter:
     def credit_return(self, port: int, vc: int) -> None:
         self.core.credit_return(self.router_id, port, vc)
 
-    def next_ready(self, now: int) -> Optional[int]:
-        return self.core.next_ready_router(self.router_id, now)
-
-    def skip_cycles(self, count: int) -> None:
-        self.core.skip_router(self.router_id, count)
-
     def occupancy(self) -> int:
         return self.core.occupancy(self.router_id)
 
@@ -1108,38 +1016,3 @@ class SoaRouter:
                  for vc in range(V)]
                 for port in range(core.n_ports)]
 
-
-class NumpyCore(SoaCore):
-    """SoA core with ``head_ready`` as a numpy array.
-
-    The scalar per-flit loop is shared with :class:`SoaCore` (numpy scalar
-    indexing is marginally slower there), but the wakeup reductions behind
-    ``next_ready``/``skip_cycles`` vectorize — the win grows with mesh
-    size and quiescence (16x16+ under low load).  Results stay
-    bit-identical: reductions return plain ``int``s, never numpy scalars.
-    """
-
-    def __init__(self, config: NocConfig, topology: MeshTopology,
-                 stats: NetworkStats, route):
-        super().__init__(config, topology, stats, route)
-        import numpy
-        self._np = numpy
-        self.head_ready = numpy.full(len(self.bufs), _INF,
-                                     dtype=numpy.int64)
-
-    def next_ready_all(self, now: int) -> Optional[int]:
-        head_ready = self.head_ready
-        eligible = head_ready[head_ready >= now]
-        if not eligible.size:
-            return None
-        best = int(eligible.min())
-        return None if best == _INF else best
-
-    def next_ready_router(self, rid: int, now: int) -> Optional[int]:
-        base = rid * self.slots
-        segment = self.head_ready[base:base + self.slots]
-        eligible = segment[segment >= now]
-        if not eligible.size:
-            return None
-        best = int(eligible.min())
-        return None if best == _INF else best

@@ -152,55 +152,6 @@ class NetworkInterface:
         return bool(self._queue or self._current_flits
                     or self._pending_decodes or self._outbound_notifications)
 
-    def next_work(self, now: int) -> Optional[int]:
-        """Earliest cycle ``>= now`` this NI can act without external
-        input, or None when only network activity can unblock it
-        (skip-safety wakeup; DESIGN.md §12).
-
-        Called at a skip decision point, i.e. right after a zero-activity
-        cycle (or on an empty network), so any transition this NI could
-        make on its own resolves to one of the timers below.  Answering
-        too early merely costs a stepped cycle that re-proves quiescence;
-        answering too late would skip real work, so every uncertain case
-        answers ``now``.
-        """
-        horizon: Optional[int] = None
-        if self._pending_decodes:
-            due = self._pending_decodes[0][0]
-            if due <= now:
-                return now
-            horizon = due
-        if self._outbound_notifications:
-            return now  # defensive: process() drains these every cycle
-        if self._current_flits is not None:
-            # Mid-packet.  After a zero-activity cycle the next flit must
-            # be credit-blocked (otherwise it would have injected, which is
-            # activity); credits only arrive via network activity, so no
-            # self-wakeup — unless the credit view says otherwise, in
-            # which case refuse to skip.
-            vc = self._current_vc
-            if vc is None:
-                if any(credits > 0 for credits in self._credits):
-                    return now
-            elif self._credits[vc] > 0:
-                return now
-        elif self._queue:
-            head = self._queue[0]
-            if not self.overlap_compression and not head.compression_started \
-                    and head.kind is PacketKind.DATA:
-                # Compression starts when the head packet is first *tried*
-                # (§4.3 ablation path); that try stamps inject_ready, so it
-                # must happen on a stepped cycle.
-                return now
-            ready = head.inject_ready
-            if ready > now:
-                if horizon is None or ready < horizon:
-                    horizon = ready
-            elif any(credits > 0 for credits in self._credits):
-                return now
-            # else: injectable but credit-starved — external credits only.
-        return horizon
-
     def audit_credits(self, local_occupancy: List[int],
                       vc_depth: int,
                       missing: Optional[List[int]] = None) -> List[str]:

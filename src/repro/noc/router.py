@@ -250,48 +250,6 @@ class Router:
         credit(in_port, in_vc)
         send(out_port, out_vc, flit)
 
-    # --------------------------------------------------- event horizon
-
-    def next_ready(self, now: int) -> Optional[int]:
-        """Earliest future cycle a head-of-line flit exits the router
-        pipeline, or None (skip-safety wakeup; DESIGN.md §12).
-
-        Only ``buffer[0]`` of each input VC matters: flits behind it cannot
-        act before it moves, and it moving is activity that ends any skip
-        window.  ``now`` is the next cycle to execute, so a head with
-        ``ready_at == now`` still counts (it becomes eligible in the very
-        next step); only heads strictly past ``ready_at`` contribute no
-        wakeup — those were eligible during the last zero-activity cycle
-        and are therefore provably blocked on credits or VC ownership,
-        which only other activity can release.
-        """
-        horizon: Optional[int] = None
-        inputs = self.inputs
-        slot_table = self._slot_table
-        # A min over the occupied slots is visit-order independent.
-        # repro: allow[unordered-iter]
-        for slot in self._occupied:
-            port, vc = slot_table[slot]
-            ready = inputs[port][vc].buffer[0].ready_at
-            if ready >= now and (horizon is None or ready < horizon):
-                horizon = ready
-        return horizon
-
-    def skip_cycles(self, count: int) -> None:
-        """Account for ``count`` skipped zero-activity cycles.
-
-        The only per-cycle state a zero-activity cycle advances is the VA
-        input rotation, which moves by ``num_vcs`` every cycle the router
-        holds a buffered flit; replaying it keeps arbitration after a skip
-        bit-identical to having stepped.  Every other arbiter (``_va_rr``,
-        ``_sa_rr``, ``_port_rr``) moves only on allocations or grants,
-        which a zero-activity cycle by definition has none of.
-        """
-        if self._buffered:
-            total = self.n_ports * self.num_vcs
-            self._va_input_rr = (self._va_input_rr
-                                 + count * self.num_vcs) % total
-
     # -------------------------------------------------------- inspection
 
     def occupancy(self) -> int:

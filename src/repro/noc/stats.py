@@ -15,13 +15,12 @@ from typing import Dict, Tuple
 from repro.noc.packet import Packet, PacketKind
 
 #: Fields that describe the *measurement process* rather than simulated
-#: behaviour: how many cycles the event-horizon fast path skipped, which
-#: step phases had work, how effective the encode caches were.  They
-#: legitimately differ across execution modes (always-step vs event-horizon,
-#: serial vs parallel, cold vs warm cache) and are therefore excluded from
+#: behaviour: which step phases had work, how effective the encode caches
+#: were.  They legitimately differ across execution modes (serial vs
+#: parallel, cold vs warm cache) and are therefore excluded from
 #: bit-identity comparisons — see :meth:`NetworkStats.simulation_outputs`.
 ACCOUNTING_FIELDS: Tuple[str, ...] = (
-    "skipped_cycles", "deliver_phase_ticks", "traffic_phase_ticks",
+    "deliver_phase_ticks", "traffic_phase_ticks",
     "ni_phase_ticks", "router_phase_ticks", "credit_phase_ticks",
     "encode_cache_hits", "encode_cache_misses",
 )
@@ -60,13 +59,10 @@ class NetworkStats:
     encode_cache_hits: int = 0
     encode_cache_misses: int = 0
 
-    # Event-horizon accounting (perf instrumentation, not simulation
-    # outputs; all listed in ACCOUNTING_FIELDS).  ``skipped_cycles`` counts
-    # simulated cycles ``Network._fast_forward`` jumped over (they are
-    # *included* in ``cycles``); the ``*_phase_ticks`` counters, collected
-    # only under ``NocConfig.profile_phases``, count the stepped cycles in
-    # which each step phase had any work.
-    skipped_cycles: int = 0
+    # Step-phase activity (perf instrumentation, not simulation outputs;
+    # all listed in ACCOUNTING_FIELDS), collected only under
+    # ``NocConfig.profile_phases``: the cycles in which each step phase had
+    # any work.
     deliver_phase_ticks: int = 0
     traffic_phase_ticks: int = 0
     ni_phase_ticks: int = 0
@@ -142,8 +138,8 @@ class NetworkStats:
     def simulation_outputs(self) -> Dict[str, object]:
         """Every counter that is a *simulation output* (excludes the
         :data:`ACCOUNTING_FIELDS` instrumentation), for bit-identity
-        comparisons across execution modes — the event-horizon equivalence
-        tests assert these match an always-step run exactly."""
+        comparisons across execution modes (cores, serial vs parallel,
+        cached vs fresh)."""
         return {f.name: getattr(self, f.name) for f in fields(self)
                 if f.name not in ACCOUNTING_FIELDS}
 

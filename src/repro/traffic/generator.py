@@ -16,23 +16,15 @@ Injection rates are specified in **uncompressed flits per node per cycle**
 mechanism under test, which is what lets compressed networks show a
 throughput advantage at equal offered load.
 
-Event-horizon contract (DESIGN.md §12): both stochastic sources expose
-``next_arrival(now, limit)``, which the network's zero-activity fast path
-uses to find the earliest future injection.  Per-cycle injection decisions
-are drawn *exactly once per simulated cycle, in cycle order*, whether the
-draw happens inside ``generate`` (always-step mode) or ahead of time inside
-``next_arrival`` (skip mode, which buffers the resulting requests until
-``generate`` reaches their cycle).  The RNG therefore consumes an identical
-draw sequence in both modes, which is what makes cycle skipping
-bit-invisible.  The companion contract on callers: ``generate`` is called
-at most once per cycle, in nondecreasing cycle order, and any cycle it is
-never called for must lie inside a window a ``next_arrival`` search already
-covered (the network only skips cycles it proved injection-free).
+Both stochastic sources draw each simulated cycle's injection decisions
+*exactly once, in cycle order*: ``generate(cycle)`` also draws (and drops)
+any earlier cycle the caller never asked for, so the RNG sequence, and with
+it every later request, does not depend on which cycles were generated.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.noc.config import NocConfig
 from repro.noc.ni import TrafficRequest
@@ -67,11 +59,7 @@ class SyntheticTraffic:
         self._rng = DeterministicRng(seed)
         model = value_model or ValueModel(name="uniform")
         self._blocks = BlockGenerator(model, self._rng.fork(1))
-        # Lookahead state (event-horizon contract, module docstring):
-        # cycles <= _drawn_through have had their injection decisions drawn;
-        # non-empty ones that generate() has not consumed yet live in
-        # _pending (keyed by cycle, insertion-ordered = cycle-ordered).
-        self._pending: Dict[int, List[TrafficRequest]] = {}
+        # Cycles <= _drawn_through have had their injection decisions drawn.
         self._drawn_through = -1
         # Offered load is in uncompressed flits; convert to packets.
         mean_flits = (data_ratio * config.uncompressed_data_flits
@@ -118,43 +106,13 @@ class SyntheticTraffic:
         return requests
 
     def generate(self, cycle: int) -> List[TrafficRequest]:
-        """Requests injected this cycle."""
-        if cycle <= self._drawn_through:
-            return self._pending.pop(cycle, [])
-        drawn = self._drawn_through
-        result: List[TrafficRequest] = []
-        while drawn < cycle:
-            drawn += 1
-            requests = self._draw_cycle(drawn)
-            if requests:
-                if drawn == cycle:
-                    result = requests
-                else:
-                    self._pending[drawn] = requests
-        self._drawn_through = drawn
-        return result
-
-    def next_arrival(self, now: int,
-                     limit: Optional[int] = None) -> Optional[int]:
-        """Earliest cycle ``>= now`` with injections, drawing ahead as
-        needed; None when there is none (none at all, or none ``<= limit``
-        when a bound is given).  Draws are buffered for ``generate``."""
-        for cycle in self._pending:
-            if cycle >= now:
-                return cycle
-        if self.packet_rate == 0:
-            return None
-        cycle = self._drawn_through
-        while limit is None or cycle < limit:
-            cycle += 1
-            if self.duration is not None and cycle >= self.duration:
-                return None
-            requests = self._draw_cycle(cycle)
-            self._drawn_through = cycle
-            if requests:
-                self._pending[cycle] = requests
-                return cycle
-        return None
+        """Requests injected this cycle (none for a cycle already drawn;
+        see the module docstring)."""
+        requests: List[TrafficRequest] = []
+        while self._drawn_through < cycle:
+            self._drawn_through += 1
+            requests = self._draw_cycle(self._drawn_through)
+        return requests
 
 
 class BenchmarkTraffic:
@@ -180,8 +138,7 @@ class BenchmarkTraffic:
         self._rng = DeterministicRng(seed)
         self._blocks = BlockGenerator(profile.model, self._rng.fork(1))
         self._burst_on = [False] * config.n_nodes
-        # Lookahead state; see the module docstring and SyntheticTraffic.
-        self._pending: Dict[int, List[TrafficRequest]] = {}
+        # Cycles <= _drawn_through have had their decisions drawn.
         self._drawn_through = -1
         n = config.n_nodes
         self._partners = []
@@ -246,39 +203,10 @@ class BenchmarkTraffic:
         return requests
 
     def generate(self, cycle: int) -> List[TrafficRequest]:
-        """Requests injected this cycle."""
-        if cycle <= self._drawn_through:
-            return self._pending.pop(cycle, [])
-        drawn = self._drawn_through
-        result: List[TrafficRequest] = []
-        while drawn < cycle:
-            drawn += 1
-            requests = self._draw_cycle(drawn)
-            if requests:
-                if drawn == cycle:
-                    result = requests
-                else:
-                    self._pending[drawn] = requests
-        self._drawn_through = drawn
-        return result
-
-    def next_arrival(self, now: int,
-                     limit: Optional[int] = None) -> Optional[int]:
-        """Earliest cycle ``>= now`` with injections (see
-        :meth:`SyntheticTraffic.next_arrival`)."""
-        for cycle in self._pending:
-            if cycle >= now:
-                return cycle
-        if self.profile.packet_rate * self.rate_scale == 0:
-            return None
-        cycle = self._drawn_through
-        while limit is None or cycle < limit:
-            cycle += 1
-            if self.duration is not None and cycle >= self.duration:
-                return None
-            requests = self._draw_cycle(cycle)
-            self._drawn_through = cycle
-            if requests:
-                self._pending[cycle] = requests
-                return cycle
-        return None
+        """Requests injected this cycle (see
+        :meth:`SyntheticTraffic.generate`)."""
+        requests: List[TrafficRequest] = []
+        while self._drawn_through < cycle:
+            self._drawn_through += 1
+            requests = self._draw_cycle(self._drawn_through)
+        return requests

@@ -295,25 +295,6 @@ class TraceTraffic:
                            approximable=approximable)
         return TrafficRequest(request.src, request.dst, request.kind, block)
 
-    def next_arrival(self, now: int,
-                     limit: Optional[int] = None) -> Optional[int]:
-        """Earliest cycle ``>= now`` with recorded injections, or None when
-        the trace is exhausted (or nothing is due by ``limit``).
-
-        Pure index arithmetic — no RNG, no lookahead buffering: the next
-        record's due cycle is already known.  Loop wrap-around happens
-        inside :meth:`generate` (which the network always calls at the due
-        cycle, skipped or not), so the offset here is always current.
-        """
-        if self._index >= len(self._records):
-            return None
-        when = self._records[self._index].cycle + self._offset
-        if when < now:
-            when = now  # defensive: overdue record -> never skip past it
-        if limit is not None and when > limit:
-            return None
-        return when
-
     def generate(self, cycle: int) -> List[TrafficRequest]:
         """Requests recorded for this cycle."""
         requests = []

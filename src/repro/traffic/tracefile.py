@@ -11,7 +11,7 @@ first simulated cycle.  This module is the scale path (DESIGN.md §17):
 * :class:`TraceFile` — read-only ``mmap`` view; opening is O(1), any
   record decodes on demand, nothing is parsed up front;
 * :class:`StreamingTraceTraffic` — the replay source.  It implements the
-  same ``generate`` / ``next_arrival`` / ``exhausted`` protocol as
+  same ``generate`` / ``exhausted`` protocol as
   :class:`~repro.traffic.trace.TraceTraffic` and is bit-identical to it,
   but holds at most one decoded chunk (O(chunk), not O(trace));
 * :class:`TraceFileWriter` / :func:`record_trace_to` — streaming
@@ -21,11 +21,9 @@ first simulated cycle.  This module is the scale path (DESIGN.md §17):
   :func:`import_gem5_trace` — converters, exposed with the recorder via
   ``python -m repro.traffic``.
 
-The event horizon (DESIGN.md §12) survives streaming because a trace
-file always knows the due cycle of record ``i`` without decoding a
-chunk: ``peek_cycle`` reads eight bytes out of the mapping.  So
-``next_arrival`` stays pure — chunk caching happens only inside
-``generate``, which the network calls at the due cycle anyway.
+A trace file knows the due cycle of record ``i`` without decoding a
+chunk: ``peek_cycle`` reads eight bytes out of the mapping, so a replay
+decodes a chunk only once one of its records is due.
 """
 
 from __future__ import annotations
@@ -66,7 +64,7 @@ _HEADER = struct.Struct("<8sIIQIIIIQQQQ")
 _RECORD = struct.Struct("<QIIBBBBIQ")
 # One u64 per chunk: the first record cycle of that chunk.
 _INDEX_ENTRY = struct.Struct("<Q")
-# The cycle field alone, for pure O(1) lookahead.
+# The cycle field alone: peek_cycle reads a due cycle without decoding.
 _CYCLE = struct.Struct("<Q")
 _WORD = struct.Struct("<I")
 
@@ -205,8 +203,8 @@ class TraceFile:
 
     Opening validates the header and the declared section offsets
     against the file size, then maps the file; nothing is decoded until
-    asked.  ``peek_cycle`` is an O(1) eight-byte read (pure — the basis
-    of the streaming event horizon), ``read_chunk`` decodes one aligned
+    asked.  ``peek_cycle`` is an O(1) eight-byte read, ``read_chunk``
+    decodes one aligned
     chunk of records, ``seek_cycle`` bisects the chunk index.
     """
 
@@ -296,7 +294,7 @@ class TraceFile:
 
     def peek_cycle(self, index: int) -> int:
         """Cycle of record ``index`` without decoding it — one aligned
-        u64 read from the mapping (pure; used by ``next_arrival``)."""
+        u64 read from the mapping."""
         return _CYCLE.unpack_from(
             self._mm, self._records_off + index * _RECORD.size)[0]
 
@@ -421,11 +419,9 @@ class StreamingTraceTraffic:
     which is how parallel campaigns shard one file across workers
     (workers get the path plus offsets, never an open handle).
 
-    ``next_arrival`` never touches the chunk cache: the due cycle of the
-    next record comes from the cached chunk when present, else from an
-    O(1) ``peek_cycle``.  The cache mutates only inside ``generate`` —
-    i.e. only on cycles where traffic is actually consumed — so skipped
-    windows leave the source byte-identical to a stepped run.
+    The due cycle of the next record comes from the cached chunk when
+    present, else from an O(1) ``peek_cycle``, so the chunk cache loads
+    only on cycles where traffic is actually consumed.
     """
 
     def __init__(self, trace: Union[str, Path, TraceFile],
@@ -458,10 +454,7 @@ class StreamingTraceTraffic:
     # -- chunk cache -------------------------------------------------------
 
     def _record(self, index: int) -> TraceRecord:
-        """Record ``index`` via the chunk cache (loads its chunk).
-
-        Only called from ``generate`` — see the class docstring for why
-        ``next_arrival`` must not reach here."""
+        """Record ``index`` via the chunk cache (loads its chunk)."""
         if not self._chunk_lo <= index < self._chunk_hi:
             chunk_index = index // self._file.chunk_records
             self._chunk = self._file.read_chunk(chunk_index)
@@ -470,8 +463,8 @@ class StreamingTraceTraffic:
         return self._chunk[index - self._chunk_lo]
 
     def _due(self, index: int) -> int:
-        """Due cycle of record ``index`` — pure: reads the cached chunk
-        if it covers ``index``, else peeks the mapping."""
+        """Due cycle of record ``index``: read from the cached chunk if
+        it covers ``index``, else peeked from the mapping."""
         if self._chunk_lo <= index < self._chunk_hi:
             cycle = self._chunk[index - self._chunk_lo].cycle
         else:
@@ -494,18 +487,6 @@ class StreamingTraceTraffic:
         block = CacheBlock(request.block.words, dtype=request.block.dtype,
                            approximable=approximable)
         return TrafficRequest(request.src, request.dst, request.kind, block)
-
-    def next_arrival(self, now: int,
-                     limit: Optional[int] = None) -> Optional[int]:
-        """Earliest cycle ``>= now`` with recorded injections (pure)."""
-        if self._index >= self._stop:
-            return None
-        when = self._due(self._index)
-        if when < now:
-            when = now  # defensive: overdue record -> never skip past it
-        if limit is not None and when > limit:
-            return None
-        return when
 
     def generate(self, cycle: int) -> List[TrafficRequest]:
         """Requests recorded for this cycle."""

@@ -399,44 +399,22 @@ class NocSanitizer:
                 f"injected {self.injected} - delivered {self.delivered} "
                 f"- dropped {self.dropped} "
                 f"!= buffered {buffered} + in-flight {in_flight}")
-        # Skip-accounting cross-check: the O(1) counters behind idle() and
-        # the event-horizon quiescence proof must match full recounts
-        # (SKIP_ACCOUNTED_STATE's "counter" entries).
+        # Activity-accounting cross-check: the O(1) counters behind idle()
+        # must match full recounts.
         if network._buffered_total != buffered:
             self._fail(
-                "skip-accounting",
+                "activity-accounting",
                 f"buffered-flit counter {network._buffered_total} != "
                 f"recount {buffered}")
         flagged = sum(network._ni_active)
         busy = sum(1 for ni in network.nis if ni.busy())
         if network._busy_ni_count != flagged or flagged != busy:
             self._fail(
-                "skip-accounting",
+                "activity-accounting",
                 f"busy-NI counter {network._busy_ni_count} != raised "
                 f"flags {flagged} != busy recount {busy}")
         if (now + 1) % self.deep_interval == 0:
             self._deep_audit(now)
-
-    def after_skip(self, start: int, target: int) -> None:
-        """Jump hook: the event horizon is skipping ``[start, target)``.
-
-        The network proved the whole window activity-free, so state at
-        every skipped cycle equals state at ``start`` — one deep audit
-        therefore stands in for all the audits the window's cadence would
-        have run, and it is replayed only when the window actually crosses
-        a ``deep_interval`` boundary.  The starvation watchdog measures
-        ages in simulated cycles, so skipped time still counts; a
-        starvation violation inside the window surfaces at the jump
-        boundary instead of the exact always-step cycle (the one
-        documented observable difference under ``sanitize=True``, which
-        affects failure reporting only — never a passing run's numbers).
-        """
-        interval = self.deep_interval
-        # Deep audits fire after cycles t with (t + 1) % interval == 0;
-        # replay one if any such t falls in [start, target).
-        first = -(-(start + 1) // interval) * interval - 1
-        if first < target:
-            self._deep_audit(first)
 
     def _deep_audit(self, now: int) -> None:
         network = self.network

@@ -65,12 +65,8 @@ VALIDATED_CONFIG_FIELDS = frozenset({
     "profile_phases", "faults", "core",
 })
 
-#: Legal simulation-core backends (mirrors ``core_soa.CORE_BACKENDS``;
-#: duplicated literal to keep this module import-light and cycle-free).
-#: Availability of numpy is deliberately *not* checked here — the static
-#: verifier validates shape, and ``make_core`` raises the actionable
-#: install-hint error at network construction time.
-_CORE_BACKENDS = ("object", "soa", "numpy")
+#: Legal simulation-core backends (the values ``NocConfig`` accepts).
+_CORE_BACKENDS = ("object", "soa")
 
 #: Fields that must be integers >= 1.
 _POSITIVE_INT_FIELDS = ("mesh_width", "mesh_height", "concentration",

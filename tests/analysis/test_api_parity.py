@@ -7,7 +7,6 @@ from repro.analysis.engine import analyze_project
 
 NETWORK = "src/repro/noc/network.py"
 ROUTER = "src/repro/noc/router.py"
-CORE = "src/repro/noc/core_soa.py"
 
 
 def run_project(rule_name, sources):
@@ -133,74 +132,3 @@ class TestRouterSurfaceParity:
                 """,
         }) == []
 
-
-class TestCoreBackendParity:
-    CORE_PAIR = """\
-        class SoaCore:
-            def __init__(self):
-                self.buffered = 0
-
-            def next_ready_all(self, now):
-                return None
-
-            def skip_all(self, count):
-                return None
-
-
-        class NumpyCore(SoaCore):
-            def next_ready_all(self, now):
-                return None
-        """
-
-    def test_inherited_member_passes(self):
-        assert run_project("core-backend-parity", {
-            CORE: self.CORE_PAIR,
-            NETWORK: """\
-                class Network:
-                    def _fast_forward(self, skipped):
-                        self._core.skip_all(skipped)
-                """,
-        }) == []
-
-    def test_unknown_member_flags(self):
-        findings = run_project("core-backend-parity", {
-            CORE: self.CORE_PAIR,
-            NETWORK: """\
-                class Network:
-                    def step(self):
-                        self._core.vectorize_everything()
-                """,
-        })
-        assert len(findings) == 1
-        assert "neither" in findings[0].message
-
-    def test_override_signature_mismatch_flags(self):
-        findings = run_project("core-backend-parity", {
-            CORE: """\
-                class SoaCore:
-                    def next_ready_all(self, now):
-                        return None
-
-
-                class NumpyCore(SoaCore):
-                    def next_ready_all(self, now, horizon):
-                        return None
-                """,
-            NETWORK: """\
-                class Network:
-                    def probe(self):
-                        return self._core.next_ready_all(self.cycle)
-                """,
-        })
-        messages = [f.message for f in findings]
-        assert any("different signature" in m for m in messages)
-
-    def test_matching_override_passes(self):
-        assert run_project("core-backend-parity", {
-            CORE: self.CORE_PAIR,
-            NETWORK: """\
-                class Network:
-                    def probe(self):
-                        return self._core.next_ready_all(self.cycle)
-                """,
-        }) == []

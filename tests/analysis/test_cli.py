@@ -120,7 +120,7 @@ class TestOutput:
     def test_list_rules_includes_flow_passes(self, capsys):
         assert main(["--list-rules"]) == EXIT_CLEAN
         out = capsys.readouterr().out
-        for code in ("REPRO801", "REPRO803", "REPRO811", "REPRO821"):
+        for code in ("REPRO811", "REPRO812", "REPRO821", "REPRO904"):
             assert code in out
 
     def test_json_includes_rule_explanations(self, tmp_path, capsys):
@@ -144,9 +144,9 @@ class TestOutput:
 
 class TestExplain:
     def test_explain_by_name(self, capsys):
-        assert main(["--explain", "skip-path-purity"]) == EXIT_CLEAN
+        assert main(["--explain", "rng-stream-isolation"]) == EXIT_CLEAN
         out = capsys.readouterr().out
-        assert "REPRO803" in out
+        assert "REPRO811" in out
         assert "Invariant:" in out
         assert "Bad:" in out
         assert "Good:" in out

@@ -589,71 +589,6 @@ class TestConfigFieldValidation:
             """) == []
 
 
-class TestSkipSafetyAccounting:
-    NETWORK = "src/repro/noc/network.py"
-    ROUTER = "src/repro/noc/router.py"
-
-    def test_unregistered_field_flags(self):
-        findings = run_rule("skip-safety-accounting", self.NETWORK, """\
-            class Network:
-                def __init__(self, config):
-                    self.cycle = 0
-                    self._sneaky_cache = {}
-            """)
-        assert len(findings) == 1
-        assert "_sneaky_cache" in findings[0].message
-        assert "SKIP_ACCOUNTED_STATE" in findings[0].message
-        assert findings[0].severity is Severity.ERROR
-
-    def test_registered_fields_pass(self):
-        assert run_rule("skip-safety-accounting", self.NETWORK, """\
-            class Network:
-                def __init__(self, config):
-                    self.config = config
-                    self.cycle = 0
-                    self._buffered_total = 0
-            """) == []
-
-    def test_closure_assignment_in_init_is_audited(self):
-        # Fields introduced by closures defined inside __init__ (the send/
-        # accept fast-path hooks) are instance state like any other.
-        findings = run_rule("skip-safety-accounting", self.ROUTER, """\
-            class Router:
-                def __init__(self):
-                    def hook():
-                        self._phantom = 1
-                    self._buffered = 0
-            """)
-        assert len(findings) == 1
-        assert "_phantom" in findings[0].message
-
-    def test_unknown_classification_flags(self, monkeypatch):
-        from repro.noc import network as network_mod
-        monkeypatch.setitem(
-            network_mod.SKIP_ACCOUNTED_STATE["Router"], "_weird", "banana")
-        findings = run_rule("skip-safety-accounting", self.ROUTER, """\
-            class Router:
-                def __init__(self):
-                    self._weird = 0
-            """)
-        assert len(findings) == 1
-        assert "banana" in findings[0].message
-
-    def test_other_classes_ignored(self):
-        assert run_rule("skip-safety-accounting", self.NETWORK, """\
-            class TrafficShaper:
-                def __init__(self):
-                    self.totally_unregistered = {}
-            """) == []
-
-    def test_other_modules_out_of_scope(self):
-        assert run_rule("skip-safety-accounting", NOC, """\
-            class Network:
-                def __init__(self):
-                    self.totally_unregistered = {}
-            """) == []
-
-
 class TestAsyncBlocking:
     """REPRO313: no blocking calls on the campaign service's event loop."""
 

@@ -41,17 +41,14 @@ def test_committed_baseline_is_empty_for_core_and_util():
 
 
 def test_flow_proof_passes_hold_on_real_tree():
-    """The whole-program proof passes (REPRO80x/81x/82x) certify the real
-    simulator with an *empty* baseline: every state-classification claim,
-    RNG stream boundary and cross-core surface is proven, not
-    grandfathered."""
+    """The whole-program proof passes (REPRO81x/82x/9xx) certify the real
+    simulator with an *empty* baseline: every RNG stream boundary and
+    cross-core surface is proven, not grandfathered."""
     from repro.analysis import get_rule
 
     flow_rules = [get_rule(name) for name in (
-        "state-static-rebind", "state-counter-shape", "skip-path-purity",
-        "state-containment", "state-clock-advance",
         "rng-stream-isolation", "rng-salt-collision",
-        "router-surface-parity", "core-backend-parity",
+        "router-surface-parity",
         "shift-range", "unmasked-word-arith", "possible-zero-div",
         "avcl-error-bound", "hot-alloc")]
     report = analyze_paths([REPO_ROOT / "src"], flow_rules)
@@ -61,7 +58,7 @@ def test_flow_proof_passes_hold_on_real_tree():
 def test_committed_baseline_is_empty_for_flow_proofs():
     baseline = Baseline.load(REPO_ROOT / DEFAULT_BASELINE)
     flow = [f for f in baseline.findings
-            if f.rule.startswith(("state-", "rng-", "router-", "core-",
+            if f.rule.startswith(("rng-", "router-",
                                   "shift-", "unmasked-", "possible-",
                                   "avcl-", "hot-"))]
     assert flow == [], (

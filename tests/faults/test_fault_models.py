@@ -59,7 +59,7 @@ class TestWindowSchedule:
     def test_prefix_property(self):
         """State after a query at cycle t depends on t alone, not on the
         query pattern — dense and sparse querying agree everywhere they
-        are compared (the event-horizon determinism argument)."""
+        are compared."""
         dense = self.make()
         sparse = self.make()
         horizon = 5000
@@ -83,21 +83,6 @@ class TestWindowSchedule:
             prev = t
         runs.append((start, prev))
         assert all(hi - lo + 1 == 20 for lo, hi in runs)
-
-    def test_next_boundary_pins_onset_and_offset(self):
-        sched = self.make(duration=20)
-        probe = self.make(duration=20)
-        onset = next(t for t in range(3000) if probe.active(t))
-        assert sched.next_boundary(onset - 1) == onset
-        assert sched.next_boundary(onset) == onset + 20
-
-    def test_prev_end_records_revival(self):
-        sched = self.make(duration=20)
-        probe = self.make(duration=20)
-        onset = next(t for t in range(3000) if probe.active(t))
-        assert sched.prev_end <= onset
-        sched.active(onset + 20)  # first alive cycle after the window
-        assert sched.prev_end == onset + 20
 
     def test_stuck_shape_redrawn_per_window(self):
         sched = self.make(seed=11, rate=0.05, duration=10, stuck=True)

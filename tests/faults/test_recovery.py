@@ -98,8 +98,8 @@ class TestCreditWatchdog:
         network.run(2000)
         assert network.drain(50_000)
         assert network._faults.summary()["credits_lost"] > 0
-        # Traffic off: the next watchdog tick (a pinned wakeup under the
-        # event horizon) must replay whatever is still ledgered.
+        # Traffic off: the next watchdog tick must replay whatever is
+        # still ledgered.
         network.traffic_source = None
         network.run(2 * faults.watchdog_period)
         assert network._faults.summary()["lost_credits_outstanding"] == 0

@@ -11,7 +11,11 @@ the codecs, the traffic sources).  It covers:
   (blackscholes values, uniform random traffic at rate 0.50);
 * one run with NoCSan armed;
 * two points of the ``python -m repro.faults --smoke`` campaign
-  (Baseline with bit flips, FP-VAXX with link drops; recovery on).
+  (Baseline with bit flips, FP-VAXX with link drops; recovery on) and
+  one fail-stop point on the same network, whose routers die and revive;
+* one long, mostly idle synthetic run on a four-node mesh;
+* one binary ``.rpt`` trace replayed through ``StreamingTraceTraffic``
+  (written to a scratch directory by :func:`golden_specs`).
 
 A change that moves simulated outputs on purpose regenerates the file
 with::
@@ -29,13 +33,15 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from tempfile import TemporaryDirectory
 from typing import Dict
 
 from repro.faults.campaign import fault_config_for
-from repro.harness.experiment import MECHANISM_ORDER
+from repro.harness.experiment import MECHANISM_ORDER, benchmark_trace
 from repro.harness.parallel import RunSpec, Spec, SyntheticSpec, \
     execute_spec
-from repro.noc import PAPER_CONFIG, NocConfig
+from repro.noc import PAPER_CONFIG, TINY_CONFIG, NocConfig
+from repro.traffic import write_trace
 
 GOLDEN_PATH = Path(__file__).with_name("identity_digests.json")
 
@@ -44,8 +50,9 @@ GOLDEN_PATH = Path(__file__).with_name("identity_digests.json")
 SMOKE_CONFIG = NocConfig(mesh_width=2, mesh_height=2, concentration=2)
 
 
-def golden_specs() -> Dict[str, Spec]:
-    """Name -> spec for every run in the grid."""
+def golden_specs(trace_dir: Path) -> Dict[str, Spec]:
+    """Name -> spec for every run in the grid.  The streamed replay's
+    binary trace is written into ``trace_dir``."""
     specs: Dict[str, Spec] = {}
     for mechanism in MECHANISM_ORDER:
         for benchmark in ("blackscholes", "ssca2"):
@@ -66,13 +73,28 @@ def golden_specs() -> Dict[str, Spec]:
         specs[f"faults/ssca2/{fault_class}/{mechanism}"] = RunSpec(
             config, mechanism, "ssca2", trace_cycles=900, warmup=300,
             measure=600)
+    config = replace(SMOKE_CONFIG, faults=fault_config_for(
+        "failstop", 0.002, recovery=True, seed=1))
+    specs["faults/ssca2/failstop/DI-VAXX"] = RunSpec(
+        config, "DI-VAXX", "ssca2", trace_cycles=900, warmup=300,
+        measure=600)
+    specs["synthetic/blackscholes/UR@0.01/FP-VAXX"] = SyntheticSpec(
+        TINY_CONFIG, "FP-VAXX", "blackscholes", "uniform_random",
+        rate=0.01, data_ratio=0.25, seed=13, warmup=300, measure=3000)
+    trace_path = Path(trace_dir) / "blackscholes.rpt"
+    write_trace(benchmark_trace(PAPER_CONFIG, "blackscholes", 1500),
+                trace_path, n_nodes=PAPER_CONFIG.n_nodes, chunk_records=64)
+    specs["streamed/blackscholes/DI-VAXX"] = RunSpec(
+        PAPER_CONFIG, "DI-VAXX", "blackscholes", trace_cycles=1500,
+        warmup=300, measure=1000, trace_path=str(trace_path))
     return specs
 
 
 def compute_digests() -> Dict[str, str]:
     """Run the grid serially and return name -> identity digest."""
-    return {name: execute_spec(spec).identity_digest()
-            for name, spec in golden_specs().items()}
+    with TemporaryDirectory() as trace_dir:
+        return {name: execute_spec(spec).identity_digest()
+                for name, spec in golden_specs(Path(trace_dir)).items()}
 
 
 def load_goldens() -> Dict[str, str]:

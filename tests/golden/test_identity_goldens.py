@@ -7,14 +7,18 @@ import pytest
 from repro.harness.parallel import execute_spec
 from tests.golden.grid import golden_specs, load_goldens
 
-SPECS = golden_specs()
 GOLDENS = load_goldens()
 
 
-def test_goldens_cover_exactly_the_grid():
-    assert sorted(GOLDENS) == sorted(SPECS)
+@pytest.fixture(scope="module")
+def specs(tmp_path_factory):
+    return golden_specs(tmp_path_factory.mktemp("golden_traces"))
 
 
-@pytest.mark.parametrize("name", sorted(SPECS))
-def test_identity_digest_is_pinned(name):
-    assert execute_spec(SPECS[name]).identity_digest() == GOLDENS[name]
+def test_goldens_cover_exactly_the_grid(specs):
+    assert sorted(GOLDENS) == sorted(specs)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_identity_digest_is_pinned(specs, name):
+    assert execute_spec(specs[name]).identity_digest() == GOLDENS[name]

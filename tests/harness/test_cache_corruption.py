@@ -1,8 +1,9 @@
 """Cache corruption tolerance (.repro_cache survives bit rot).
 
 Contract: a present-but-unusable cache entry — truncated JSON, a tampered
-result, a checksum that does not match, a pre-checksum legacy payload —
-must never poison a sweep.  It is detected, logged, evicted from disk and
+result, a checksum that does not match, a pre-checksum legacy payload, a
+result with a field the current code no longer has — must never poison a
+sweep.  It is detected, logged, evicted from disk and
 transparently recomputed; only intact entries are ever served.
 """
 
@@ -100,6 +101,28 @@ class TestCorruptEntryDetection:
         path.write_text(json.dumps(payload))
         assert load_cached(spec) is None
         assert not path.exists()
+
+    def test_entry_from_older_code_evicted_and_recomputed(self, cache,
+                                                           caplog):
+        """An intact, correctly checksummed entry written when RunResult
+        still carried ``skipped_cycles`` (the retired event horizon's skip
+        count) is evicted and recomputed, never served, never a crash."""
+        spec = small_spec()
+        path, result = store_entry(cache, spec)
+        payload = json.loads(path.read_text())
+        payload["result"]["skipped_cycles"] = 1234
+        payload["checksum"] = parallel_mod._result_checksum(
+            payload["result"])
+        path.write_text(json.dumps(payload))
+        with caplog.at_level(logging.WARNING, logger=LOGGER):
+            assert load_cached(spec) is None
+        assert not path.exists()
+        assert any("skipped_cycles" in rec.message
+                   for rec in caplog.records)
+        [outcome] = run_specs([spec], workers=1)
+        assert outcome.ok and not outcome.cached
+        assert (outcome.result.simulation_outputs()
+                == result.simulation_outputs())
 
     def test_foreign_json_evicted(self, cache):
         """Valid JSON that is not a cache entry at all."""

@@ -1,6 +1,7 @@
 """End-to-end network tests: delivery, conservation, latency, flow control."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from repro.noc import (
     PacketKind,
     TrafficRequest,
 )
+from repro.traffic import SyntheticTraffic
 
 TINY = NocConfig(mesh_width=2, mesh_height=2, concentration=1)
 
@@ -201,3 +203,29 @@ class TestValidation:
         assert net.idle()
         net.run(10)
         assert net.idle()
+
+
+class TestIdleAccounting:
+    def _recount_idle(self, network):
+        """Idleness recomputed from scratch over every router and NI."""
+        buffered = sum(len(ivc.buffer)
+                       for router in network.routers
+                       for port in router.inputs
+                       for ivc in port)
+        return (buffered == 0
+                and not any(ni.busy() for ni in network.nis)
+                and not network._pending_router_arrivals
+                and not network._pending_ejections)
+
+    @pytest.mark.parametrize("core", ["object", "soa"])
+    def test_idle_matches_full_recount(self, core):
+        network = make_net(replace(TINY, core=core), scheme_cls=FpVaxxScheme)
+        network.set_traffic(SyntheticTraffic(TINY, injection_rate=0.1,
+                                             seed=9))
+        saw_busy = saw_idle = False
+        for _ in range(600):
+            network.step()
+            assert network.idle() == self._recount_idle(network)
+            saw_busy |= not network.idle()
+            saw_idle |= network.idle()
+        assert saw_busy and saw_idle

@@ -24,8 +24,8 @@ def _data_request():
                          ids=["unsanitized", "sanitized"])
 def test_body_flit_ejection_leaves_an_idle_ni_idle(core, sanitize):
     """Ejecting a body flit must not wake the destination NI: it stays
-    unflagged, the busy-NI count does not move and its ``next_work`` stays
-    None until the tail arrives.  Neither the core's inline send nor the
+    unflagged and the busy-NI count does not move until the tail
+    arrives.  Neither the core's inline send nor the
     send closures (NoCSan, link faults) queue body flits for the NI."""
     config = replace(TINY_CONFIG, sanitize=sanitize, core=core)
     network = Network(config, BaselineScheme(config.n_nodes))
@@ -41,7 +41,6 @@ def test_body_flit_ejection_leaves_an_idle_ni_idle(core, sanitize):
         if packet.tail_ejected < 0:
             assert not network._ni_active[DST]
             assert not dst_ni.busy()
-            assert dst_ni.next_work(network.cycle) is None
             assert network._busy_ni_count == network._ni_active[SRC]
             assert network._busy_ni_count <= source_busy
     assert tail_ejections == 1

@@ -1,10 +1,8 @@
-"""numpy is an optional extra: the default cores must run without it.
+"""numpy is an optional extra: the simulator must run without it.
 
-The SoA and object cores are pure stdlib; only ``core="numpy"`` needs
-numpy, and asking for it without numpy installed must fail with a clear
-pointer at the ``[fast]`` extra.  Each check runs in a subprocess with a
-meta-path blocker so an ambient numpy installation cannot mask a stray
-import.
+The SoA and object cores are pure stdlib; only ``repro.apps`` and the
+figures need numpy.  The check runs in a subprocess with a meta-path
+blocker so an ambient numpy installation cannot mask a stray import.
 """
 
 import subprocess
@@ -51,22 +49,3 @@ def test_soa_and_object_cores_run_without_numpy():
     assert proc.returncode == 0, proc.stderr
     assert "OK" in proc.stdout
 
-
-def test_numpy_core_without_numpy_raises_clear_error():
-    proc = _run_blocked("""
-        from repro.harness.experiment import make_scheme
-        from repro.noc import Network, NocConfig
-
-        config = NocConfig(mesh_width=2, mesh_height=2, concentration=1,
-                           core="numpy")
-        try:
-            Network(config, make_scheme("Baseline", config.n_nodes))
-        except RuntimeError as exc:
-            message = str(exc)
-            assert "numpy" in message and "[fast]" in message, message
-            print("OK")
-        else:
-            raise AssertionError("core='numpy' built without numpy")
-    """)
-    assert proc.returncode == 0, proc.stderr
-    assert "OK" in proc.stdout

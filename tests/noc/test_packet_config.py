@@ -4,6 +4,7 @@ import pytest
 
 from repro.noc.config import NocConfig, PAPER_CONFIG, TINY_CONFIG
 from repro.noc.packet import Packet, PacketKind, fragment
+from repro.service.model import RequestError, config_from_json
 
 
 class TestPacket:
@@ -67,6 +68,17 @@ class TestConfig:
             NocConfig(num_vcs=0)
         with pytest.raises(ValueError):
             NocConfig(flit_bytes=0)
+
+    @pytest.mark.parametrize("field", [{"event_horizon": False},
+                                       {"core": "numpy"}])
+    def test_retired_settings_rejected(self, field):
+        """Every cycle is stepped and the numpy core is gone: the two
+        fields accept only their defaults (and the object core), both as
+        a NocConfig and as a service request's config."""
+        with pytest.raises(ValueError, match="ROADMAP"):
+            NocConfig(**field)
+        with pytest.raises(RequestError, match="invalid config"):
+            config_from_json(field)
 
     def test_full_system_mesh(self):
         """The §5.4 full-system 8x8 mesh with 64 cores."""

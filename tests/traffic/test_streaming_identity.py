@@ -2,9 +2,7 @@
 
 ``StreamingTraceTraffic`` must be indistinguishable from ``TraceTraffic``
 to the simulator: identical ``simulation_outputs()`` AND identical
-delivered word streams, on every core backend, with the event horizon on
-or off — and the horizon must still skip on a streamed low-load trace
-(chunked lookahead preserves quiescence detection, not just results).
+delivered word streams, on every core backend.
 """
 
 import pytest
@@ -13,14 +11,11 @@ from repro.harness.experiment import (
     benchmark_trace,
     make_scheme,
     run_trace,
-    trace_source,
 )
 from repro.noc import Network, NocConfig
 from repro.traffic import (
     StreamingTraceTraffic,
-    SyntheticTraffic,
     TraceTraffic,
-    record_trace,
     save_trace,
     write_trace,
 )
@@ -28,15 +23,7 @@ from repro.traffic import (
 CONFIG = NocConfig(mesh_width=4, mesh_height=4)
 
 
-def _has_numpy() -> bool:
-    try:
-        import numpy  # noqa: F401
-        return True
-    except ImportError:
-        return False
-
-
-CORES = ["object", "soa"] + (["numpy"] if _has_numpy() else [])
+CORES = ["object", "soa"]
 
 
 @pytest.fixture(scope="module")
@@ -53,14 +40,11 @@ def trace_paths(tmp_path_factory):
 
 class TestRunTraceIdentity:
     @pytest.mark.parametrize("core", CORES)
-    @pytest.mark.parametrize("event_horizon", [True, False])
-    def test_all_representations_identical(self, trace_paths, core,
-                                           event_horizon):
+    def test_all_representations_identical(self, trace_paths, core):
         records, jsonl, binary = trace_paths
         outputs = [
             run_trace(CONFIG, "DI-VAXX", trace, warmup=100, measure=250,
-                      core=core, event_horizon=event_horizon
-                      ).simulation_outputs()
+                      core=core).simulation_outputs()
             for trace in (records, jsonl, binary)
         ]
         assert outputs[0] == outputs[1] == outputs[2]
@@ -110,20 +94,3 @@ class TestDeliveredWordStreams:
         assert ref_deliveries == stream_deliveries
         assert ref_deliveries  # the workload actually delivered data
 
-
-class TestStreamedEventHorizon:
-    def test_skips_on_streamed_lowload_trace(self, tmp_path):
-        config = NocConfig(mesh_width=4, mesh_height=4)
-        source = SyntheticTraffic(config, injection_rate=0.002, seed=3,
-                                  data_ratio=1.0)
-        records = record_trace(source, 4000)
-        path = tmp_path / "lowload.rpt"
-        write_trace(records, path, n_nodes=config.n_nodes)
-        skipping = run_trace(config, "Baseline", str(path), warmup=500,
-                             measure=3000, event_horizon=True)
-        stepping = run_trace(config, "Baseline", str(path), warmup=500,
-                             measure=3000, event_horizon=False)
-        assert skipping.simulation_outputs() == \
-            stepping.simulation_outputs()
-        assert skipping.skipped_cycles > 0
-        assert stepping.skipped_cycles == 0

@@ -419,10 +419,9 @@ def _drain(source, cycles):
     """Full observable protocol transcript over a cycle range."""
     transcript = []
     for cycle in range(cycles):
-        arrival = source.next_arrival(cycle, limit=cycle + 50)
         requests = source.generate(cycle)
         transcript.append((
-            arrival, source.exhausted(cycle),
+            source.exhausted(cycle),
             [(r.src, r.dst, r.kind,
               tuple(r.block.words) if r.block else None,
               r.block.approximable if r.block else None)
@@ -477,15 +476,3 @@ class TestStreamingParity:
         _drain(original, 7)
         resumed = pickle.loads(pickle.dumps(original))
         assert _drain(resumed, 40) == _drain(original, 40)
-
-    def test_next_arrival_is_pure(self, tmp_path):
-        records = [TraceRecord(cycle=c * 5, src=0, dst=1,
-                               kind=PacketKind.CONTROL) for c in range(8)]
-        path = tmp_path / "t.rpt"
-        _write(records, path, chunk_records=2)
-        source = StreamingTraceTraffic(path)
-        before = pickle.dumps(source)
-        for now in range(0, 40, 3):
-            source.next_arrival(now)
-            source.next_arrival(now, limit=now + 2)
-        assert pickle.dumps(source) == before
